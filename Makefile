@@ -9,8 +9,8 @@ RACE_PKGS = ./internal/async/... ./internal/netrun/... ./internal/multi/... \
             ./internal/causal/...
 
 .PHONY: all build test vet fmt-check race chaos chaos-proc telemetry trace \
-        bench-smoke bench-json bench-gate bench-warm bench-wire scale-smoke \
-        service-smoke soak staticcheck govulncheck ci
+        bench-smoke bench-json bench-gate bench-e2e-smoke bench-warm bench-wire \
+        scale-smoke service-smoke soak staticcheck govulncheck ci
 
 # The paired (ref vs dense) benchmarks bench-json compares.
 BENCH_PAIRED = BenchmarkProbeViewCheckLoop|BenchmarkStoreAddPruning|BenchmarkResolventDerivation|BenchmarkTable1Representations
@@ -124,6 +124,20 @@ bench-gate:
 		| $(GO) run ./cmd/benchjson -o bench-wire-new.json $(BENCH_WIRE_FLAGS) \
 			-baseline BENCH_7.json -tolerance 0.5
 
+# The end-to-end benchmark's smoke pass (CI bench-e2e-smoke): the bench/
+# module's own tests, then a short run of each sync workload at the default
+# seed. Every such run checks the cycles, maxcck and checks that
+# bench/testdata/golden.json pins, so this is the direct guard that work on
+# the simulator's dispatch never moves the paper's cost model. A run passes
+# only when its last line, the result object, reports "correct":true.
+bench-e2e-smoke:
+	cd bench && $(GO) test .
+	for w in sync-learn sync-nolearn; do \
+		bash bench/run.sh -workload $$w -seed 1 -seconds 2 -trace 0 > bench-e2e-$$w.txt; \
+		cat bench-e2e-$$w.txt; \
+		tail -n 1 bench-e2e-$$w.txt | grep -q '"correct":true' || exit 1; \
+	done
+
 # Regenerates BENCH_7.json: the wire-throughput report comparing JSON vs
 # binary framing and plain vs batched delivery over a TCP loopback echo.
 # The baseline-free floors in BENCH_WIRE_FLAGS apply here too, so a
@@ -183,4 +197,4 @@ govulncheck:
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: build vet fmt-check staticcheck govulncheck test race chaos chaos-proc telemetry trace bench-smoke bench-gate scale-smoke service-smoke
+ci: build vet fmt-check staticcheck govulncheck test race chaos chaos-proc telemetry trace bench-smoke bench-gate bench-e2e-smoke scale-smoke service-smoke

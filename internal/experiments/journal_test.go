@@ -185,21 +185,21 @@ func TestJournalRejectsForeignFile(t *testing.T) {
 	}
 }
 
-// flakyAlgorithm wraps alg to fail every trial after the first `allow`
-// completions — a deterministic stand-in for a run killed partway through.
+// flakyAlgorithm wraps alg to fail every trial after the first `allow` to
+// start — a deterministic stand-in for a run killed partway through. It
+// gates on start order, not completions: at several workers, every trial
+// can start before `allow` of them finish. ForEach lets in-flight trials
+// finish after the first error, so exactly `allow` trials are journaled and
+// the run always fails once it has more than `allow` trials.
 func flakyAlgorithm(alg Algorithm, allow int64) Algorithm {
-	var done atomic.Int64
+	var started atomic.Int64
 	return Algorithm{
 		Name: alg.Name,
 		Run: func(p *csp.Problem, init csp.SliceAssignment, opts sim.Options) (TrialResult, error) {
-			if done.Load() >= allow {
+			if started.Add(1) > allow {
 				return TrialResult{}, fmt.Errorf("injected interruption")
 			}
-			tr, err := alg.Run(p, init, opts)
-			if err == nil {
-				done.Add(1)
-			}
-			return tr, err
+			return alg.Run(p, init, opts)
 		},
 	}
 }

@@ -18,9 +18,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/discsp/discsp/internal/causal"
@@ -52,7 +53,10 @@ type Agent interface {
 	Init() []Message
 	// Step processes the batch of messages delivered this cycle and returns
 	// outgoing messages. The batch is sorted by (sender, arrival order) and
-	// may be empty for agents that received nothing.
+	// may be empty for agents that received nothing. in is valid only for
+	// the duration of the call: the simulator reuses its backing array for
+	// later deliveries, so an implementation that keeps messages past the
+	// call must copy them out.
 	Step(in []Message) []Message
 	// CurrentValue returns the agent's current variable value, for the
 	// simulator's out-of-band solution check.
@@ -158,9 +162,12 @@ func Run(problem *csp.Problem, agents []Agent, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("sim: %d agents for %d variables", len(agents), problem.NumVars())
 	}
 	assignment := csp.NewSliceAssignment(problem.NumVars())
+	// Boxed once: converting the slice to csp.Assignment allocates, and
+	// the predicate runs every cycle.
+	var boxed csp.Assignment = assignment
 	res, err := RunAgents(agents, opts, func() bool {
 		snapshot(agents, assignment)
-		return problem.IsSolution(assignment)
+		return problem.IsSolution(boxed)
 	})
 	res.Assignment = assignment
 	return res, err
@@ -204,7 +211,13 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 		return tracers[i]
 	}
 
-	inbox := make(map[AgentID][]Message)
+	// Two inboxes indexed by agent ID, swapped every cycle: agents read
+	// this cycle's deliveries from inbox while their output is routed into
+	// next. Batches are truncated in place after their Step, so after the
+	// first few cycles the loop allocates nothing.
+	inbox := make([][]Message, len(agents))
+	next := make([][]Message, len(agents))
+	var delivered typeCounts
 	var startupMax int64
 	for i, a := range agents {
 		at := tracerOf(i)
@@ -212,7 +225,7 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 		out := a.Init()
 		stampBatch(at, out)
 		at.End()
-		route(inbox, out, len(agents))
+		route(inbox, out)
 		if c := a.Checks(); c > startupMax {
 			startupMax = c
 		}
@@ -235,17 +248,13 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 
 	for cycle := 1; cycle <= maxCycles; cycle++ {
 		res.Cycles = cycle
-		next := make(map[AgentID][]Message)
 		messagesIn, messagesOut := 0, 0
 		var maxDelta int64
 		for i, a := range agents {
-			in := sortBatch(inbox[a.ID()])
+			in := sortBatch(inbox[i])
 			messagesIn += len(in)
 			for _, m := range in {
-				if res.MessagesByType == nil {
-					res.MessagesByType = make(map[string]int)
-				}
-				res.MessagesByType[TypeName(m)]++
+				delivered.add(m)
 			}
 			at := tracerOf(i)
 			at.Begin(causal.SpanStep, cycle)
@@ -254,7 +263,11 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 			stampBatch(at, out)
 			at.End()
 			messagesOut += len(out)
-			route(next, out, len(agents))
+			route(next, out)
+			// Step may not keep in, so its array is reused; clearing it
+			// first leaves no delivered message reachable from it.
+			clear(in)
+			inbox[i] = in[:0]
 			delta := a.Checks() - prevChecks[i]
 			prevChecks[i] = a.Checks()
 			if delta > maxDelta {
@@ -263,7 +276,7 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 		}
 		res.MaxCCK += maxDelta
 		res.Messages += messagesIn
-		inbox = next
+		inbox, next = next, inbox
 
 		done := solved()
 		if opts.Trace != nil {
@@ -287,10 +300,11 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 		// agent will ever act again. For a complete algorithm this only
 		// happens when insolubility was derived; stop rather than spin to
 		// the cutoff.
-		if len(inbox) == 0 {
+		if messagesOut == 0 {
 			break
 		}
 	}
+	res.MessagesByType = delivered.byName()
 	finalizeTotals(&res, agents)
 	return res, nil
 }
@@ -298,10 +312,10 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 // route appends each message to its recipient's queue, validating the
 // recipient. Panics on an out-of-range recipient: that is a bug in an
 // algorithm implementation, not a runtime condition.
-func route(inbox map[AgentID][]Message, out []Message, numAgents int) {
+func route(inbox [][]Message, out []Message) {
 	for _, m := range out {
 		to := m.To()
-		if int(to) < 0 || int(to) >= numAgents {
+		if int(to) < 0 || int(to) >= len(inbox) {
 			panic(fmt.Sprintf("sim: message %T addressed to unknown agent %d", m, to))
 		}
 		inbox[to] = append(inbox[to], m)
@@ -310,10 +324,72 @@ func route(inbox map[AgentID][]Message, out []Message, numAgents int) {
 
 // sortBatch orders a delivery batch by sender, preserving per-sender order.
 // Agents are stepped in ID order so batches arrive already sender-sorted;
-// the stable sort is a cheap determinism safeguard should that change.
+// one pass confirms it, and the stable sort is a determinism safeguard
+// that only an out-of-order batch pays for.
 func sortBatch(batch []Message) []Message {
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].From() < batch[j].From() })
+	var prev AgentID
+	for i, m := range batch {
+		from := m.From()
+		if i > 0 && from < prev {
+			slices.SortStableFunc(batch, func(a, b Message) int { return cmp.Compare(a.From(), b.From()) })
+			break
+		}
+		prev = from
+	}
 	return batch
+}
+
+// typeCounts tallies deliveries by dynamic message type. An algorithm uses
+// a handful of message types, so scanning the types seen so far is cheaper
+// per message than rendering and hashing a name; byName renders the names
+// once. The first types are counted in a fixed array so that a local
+// typeCounts stays on the goroutine's stack: a heap counter written for
+// every message can share a cache line with data a concurrent run reads,
+// and that false sharing made parallel trials slower than serial ones.
+type typeCounts struct {
+	seen [8]typeCount
+	n    int
+	more map[reflect.Type]int // types beyond len(seen)
+}
+
+type typeCount struct {
+	t reflect.Type
+	n int
+}
+
+func (c *typeCounts) add(m Message) {
+	t := reflect.TypeOf(m)
+	for i := 0; i < c.n; i++ {
+		if c.seen[i].t == t {
+			c.seen[i].n++
+			return
+		}
+	}
+	if c.n < len(c.seen) {
+		c.seen[c.n] = typeCount{t: t, n: 1}
+		c.n++
+		return
+	}
+	if c.more == nil {
+		c.more = make(map[reflect.Type]int)
+	}
+	c.more[t]++
+}
+
+// byName keys the tally by TypeName, which merges T and *T; nil when
+// nothing was delivered.
+func (c *typeCounts) byName() map[string]int {
+	if c.n == 0 {
+		return nil
+	}
+	counts := make(map[string]int, c.n+len(c.more))
+	for _, e := range c.seen[:c.n] {
+		counts[typeName(e.t)] += e.n
+	}
+	for t, n := range c.more {
+		counts[typeName(t)] += n
+	}
+	return counts
 }
 
 // causeBatch records a delivery batch's trace IDs as causes of the open
@@ -342,7 +418,10 @@ func stampBatch(at *causal.AgentTracer, out []Message) {
 // TypeName renders a message's concrete type as "pkg.Type" — the key used
 // for per-kind delivery counts and causal emission records.
 func TypeName(m Message) string {
-	t := reflect.TypeOf(m)
+	return typeName(reflect.TypeOf(m))
+}
+
+func typeName(t reflect.Type) string {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/discsp/discsp/internal/csp"
@@ -278,6 +280,52 @@ func TestSortBatchOrdersBySender(t *testing.T) {
 	}
 }
 
+// kindMsg is a distinct message type for each type argument.
+type kindMsg[K any] struct{ from, to AgentID }
+
+func (m kindMsg[K]) From() AgentID { return m.from }
+func (m kindMsg[K]) To() AgentID   { return m.to }
+
+// echoAgent returns the same pre-boxed outbox at startup and on every step,
+// so a run allocates only what the simulator itself does.
+type echoAgent struct {
+	id    AgentID
+	value csp.Value
+	out   []Message
+}
+
+func (a *echoAgent) ID() AgentID              { return a.id }
+func (a *echoAgent) Init() []Message          { return a.out }
+func (a *echoAgent) Step([]Message) []Message { return a.out }
+func (a *echoAgent) CurrentValue() csp.Value  { return a.value }
+func (a *echoAgent) Checks() int64            { return 0 }
+
+// TestRunAllocsIndependentOfCycles pins the cycle loop at zero allocations
+// per cycle: a run allocates the same count at 10 cycles as at 1000.
+func TestRunAllocsIndependentOfCycles(t *testing.T) {
+	p := pairProblem(t)
+	// The values conflict and never change, and every step sends, so each
+	// run goes to its cutoff.
+	outbox := func(from, to AgentID) []Message {
+		return []Message{testMsg{from: from, to: to}, &testMsg{from: from, to: to}, testMsg{from: from, to: to}}
+	}
+	agents := []Agent{
+		&echoAgent{id: 0, value: 0, out: outbox(0, 1)},
+		&echoAgent{id: 1, value: 1, out: outbox(1, 0)},
+	}
+	allocs := func(maxCycles int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			res, err := Run(p, agents, Options{MaxCycles: maxCycles})
+			if err != nil || res.Cycles != maxCycles {
+				t.Fatalf("Run = %+v, %v; want %d cycles", res, err, maxCycles)
+			}
+		})
+	}
+	if short, long := allocs(10), allocs(1000); short != long {
+		t.Errorf("Run allocated %v times at 10 cycles and %v at 1000, want equal", short, long)
+	}
+}
+
 func TestMessagesByType(t *testing.T) {
 	p := pairProblem(t)
 	agents := []Agent{
@@ -290,5 +338,71 @@ func TestMessagesByType(t *testing.T) {
 	}
 	if got := res.MessagesByType["sim.testMsg"]; got != 1 {
 		t.Errorf("MessagesByType = %v, want sim.testMsg:1", res.MessagesByType)
+	}
+
+	// Multi-cycle: the batches agent 1 receives shrink and grow (3, 1, 0,
+	// 2 messages) across reused inbox buffers, mixing testMsg and
+	// *testMsg. Agent 1 replies on its first three steps, so the empty
+	// wave does not end the run by quiescence, and pins value 0 against
+	// agent 0's 1, so the run never solves.
+	msg := func(from, to AgentID, payload csp.Value) testMsg {
+		return testMsg{from: from, to: to, payload: payload}
+	}
+	waves := [][]Message{ // wave w is sent at startup (w=0) or on step w
+		{msg(0, 1, 1), &testMsg{from: 0, to: 1, payload: 1}, msg(0, 1, 1)},
+		{msg(0, 1, 1)},
+		nil,
+		{&testMsg{from: 0, to: 1, payload: 1}, msg(0, 1, 1)},
+	}
+	a0 := &scriptAgent{id: 0, value: 1, sendInit: waves[0]}
+	a0.onStep = func(step int, _ []Message) []Message {
+		a0.value = 1
+		if step < len(waves) {
+			return waves[step]
+		}
+		return nil
+	}
+	a1 := &scriptAgent{id: 1}
+	a1.onStep = func(step int, _ []Message) []Message {
+		a1.value = 0
+		if step < len(waves) {
+			return []Message{msg(1, 0, csp.Value(step))}
+		}
+		return nil
+	}
+	res, err = Run(p, []Agent{a0, a1}, Options{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(a1.received) != len(waves) {
+		t.Fatalf("agent 1 stepped %d times, want %d", len(a1.received), len(waves))
+	}
+	for c, got := range a1.received {
+		if !slices.Equal(got, waves[c]) {
+			t.Errorf("cycle %d: agent 1 received %v, want %v", c+1, got, waves[c])
+		}
+	}
+	// 6 messages to agent 1 (2 of them *testMsg) and its 3 replies.
+	want := map[string]int{"sim.testMsg": 9}
+	if !reflect.DeepEqual(res.MessagesByType, want) || res.Messages != 9 {
+		t.Errorf("MessagesByType = %v, Messages = %d, want %v", res.MessagesByType, res.Messages, want)
+	}
+
+	// More distinct types than the tally holds inline.
+	many := []Message{
+		kindMsg[int8]{0, 1}, kindMsg[int16]{0, 1}, kindMsg[int32]{0, 1}, kindMsg[int64]{0, 1},
+		kindMsg[uint8]{0, 1}, kindMsg[uint16]{0, 1}, kindMsg[uint32]{0, 1}, kindMsg[uint64]{0, 1},
+		kindMsg[float32]{0, 1}, kindMsg[float64]{0, 1}, kindMsg[float64]{0, 1},
+	}
+	want = map[string]int{}
+	for _, m := range many {
+		want[TypeName(m)]++
+	}
+	res, err = Run(p, []Agent{&scriptAgent{id: 0, value: 1, sendInit: many}, &scriptAgent{id: 1}}, Options{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(want) != 10 || !reflect.DeepEqual(res.MessagesByType, want) {
+		t.Errorf("MessagesByType = %v, want %v", res.MessagesByType, want)
 	}
 }
