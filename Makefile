@@ -8,7 +8,7 @@ RACE_PKGS = ./internal/async/... ./internal/netrun/... ./internal/multi/... \
             ./internal/sim/... ./internal/experiments/... ./internal/service/... \
             ./internal/causal/...
 
-.PHONY: all build test vet fmt-check race chaos chaos-proc telemetry trace \
+.PHONY: all build test vet fmt-check race flake-check chaos chaos-proc telemetry trace \
         bench-smoke bench-json bench-gate bench-e2e-smoke bench-warm bench-wire \
         scale-smoke service-smoke soak staticcheck govulncheck ci
 
@@ -54,6 +54,19 @@ fmt-check:
 race:
 	$(GO) test -race -timeout 20m $(RACE_PKGS)
 
+# The recovery-path tests whose flakes were classified and fixed, rerun
+# many times (and again under the race detector) so a timing-dependent
+# assertion fails here instead of passing once by luck: the resumed-grid
+# determinism check, the three crash-restart tests, the two corrupt-frame
+# tests, and the three tests that sever or blackhole worker links through
+# a proxy. Flakes not yet classified stay out until they are fixed:
+# TestNetrunCrashRestartABTInsoluble and TestChaosCrashPointSweep.
+FLAKE_TESTS = ^(TestResumeCellDeterminism|TestNetrunCrashRestartAWC|TestShardCodecMatrixCrashRestart|TestCausalSurvivesCrashRestart|TestCorruptFramesRecoveredByCRC|TestCorruptWithoutChecksumDegradesToDrop|TestWorkerReconnectAfterSever|TestCausalSurvivesColdReconnect|TestDeadPeerDetection)$$
+
+flake-check:
+	$(GO) test -count=50 -timeout 20m -run '$(FLAKE_TESTS)' ./internal/experiments/ ./internal/netrun/
+	$(GO) test -race -count=10 -timeout 20m -run '$(FLAKE_TESTS)' ./internal/experiments/ ./internal/netrun/
+
 # The fault-injection suite under the race detector: reliable transport,
 # crash-restart recovery, and the chaos acceptance matrix (every algorithm
 # family reaching its clean-network verdict under seeded drop/dup/crash
@@ -73,7 +86,7 @@ chaos-proc:
 	CHAOS_PROC=1 $(GO) test -race -run TestChaosProc -v -timeout 15m ./cmd/dcspnode/
 
 # The telemetry job's gating half: the on/off bit-identical inertness
-# tests (results, trace bytes, cell aggregates across all three runtimes)
+# tests (results, cycle events, cell aggregates across all three runtimes)
 # and the store-hook accounting tests, under the race detector. The CI job
 # additionally smoke-tests the live /metrics endpoint and captures a
 # Table-1 telemetry stream.
@@ -81,11 +94,14 @@ telemetry:
 	$(GO) test -race -timeout 10m -run 'TestTelemetryInert|TestServeMetrics' .
 	$(GO) test -race -timeout 5m -run 'TestStore.*Instrument|TestStoreRestore' ./internal/nogood/
 
-# The causal-tracing job (CI trace-smoke): the tracing on/off inertness,
+# The tracing job (CI trace-smoke): the tracing on/off inertness,
 # critical-path, provenance-termination, and failure-path tests under the
 # race detector, then the binary smoke — a seeded solve with -causal piped
 # through dcsptrace's critical-path and Perfetto exports, asserting a
-# non-empty path and valid JSON.
+# non-empty path and valid JSON; a seeded sync solve's -telemetry stream
+# summarized by dcsptrace -cycles, asserting its per-cycle peaks; and a
+# -block solve with -telemetry, which must be refused (that path records
+# no stream).
 trace:
 	$(GO) test -race -timeout 10m -run 'TestCausal' . ./internal/netrun/
 	$(GO) test -timeout 5m ./internal/causal/ ./cmd/dcsptrace/
@@ -99,6 +115,12 @@ trace:
 	./dcsptrace -provenance all trace-smoke.jsonl > /dev/null
 	./dcsptrace -perfetto trace-smoke-perfetto.json trace-smoke.jsonl
 	python3 -m json.tool trace-smoke-perfetto.json > /dev/null
+	./dcspsolve -telemetry trace-smoke-telemetry.jsonl -seed 11 trace-smoke.col
+	./dcsptrace -cycles trace-smoke-telemetry.jsonl | tee trace-smoke-cycles.txt
+	grep -q '^busiest cycle: ' trace-smoke-cycles.txt
+	if ./dcspsolve -block 3 -telemetry trace-smoke-block.jsonl trace-smoke.col; then \
+		echo "dcspsolve -block accepted -telemetry" >&2; exit 1; \
+	fi
 
 bench-smoke:
 	$(GO) test -bench=BenchmarkTable1 -benchtime=1x -run='^$$' -timeout 10m .
@@ -197,4 +219,4 @@ govulncheck:
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: build vet fmt-check staticcheck govulncheck test race chaos chaos-proc telemetry trace bench-smoke bench-gate bench-e2e-smoke scale-smoke service-smoke
+ci: build vet fmt-check staticcheck govulncheck test race flake-check chaos chaos-proc telemetry trace bench-smoke bench-gate bench-e2e-smoke scale-smoke service-smoke

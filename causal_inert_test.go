@@ -36,8 +36,8 @@ func readCausal(t *testing.T, ct *discsp.Telemetry, stream *bytes.Buffer) *causa
 
 // TestCausalInertSync pins the tentpole's non-negotiable: attaching the
 // causal tracer to a synchronous run changes nothing — verdict, cycles,
-// maxcck, totals, the assignment, and the exact v1 trace bytes are
-// bit-identical with tracing on and off, across learners.
+// maxcck, totals, the assignment, and the cycle events are identical with
+// tracing on and off, across learners.
 func TestCausalInertSync(t *testing.T) {
 	p := hardColoring(t)
 	learners := []struct {
@@ -74,8 +74,8 @@ func TestCausalInertSync(t *testing.T) {
 			if !reflect.DeepEqual(off.MessagesByType, on.MessagesByType) {
 				t.Errorf("message profile changed: off=%v on=%v", off.MessagesByType, on.MessagesByType)
 			}
-			if !bytes.Equal(offTrace, onTrace) {
-				t.Errorf("trace bytes changed with causal tracing on (%d vs %d bytes)", len(offTrace), len(onTrace))
+			if !reflect.DeepEqual(offTrace, onTrace) {
+				t.Errorf("cycle events changed with causal tracing on (%d vs %d cycles)", len(offTrace), len(onTrace))
 			}
 
 			g := readCausal(t, opts.Causal, &stream)

@@ -12,6 +12,7 @@
 //	dcspsolve -async -faults chaos problem.cnf         # adversarial network
 //	dcspsolve -trials 50 -journal t.jsonl problem.cnf  # journal trials
 //	dcspsolve -trials 50 -journal t.jsonl -resume ...  # resume after a crash
+//	dcspsolve -telemetry t.jsonl problem.cnf           # cycle-by-cycle stream (dcsptrace)
 //	dcspsolve -causal -trace-out t.jsonl problem.cnf   # causal trace (dcsptrace)
 //
 // File type is inferred from the extension: .cnf is DIMACS CNF, .col is
@@ -44,10 +45,8 @@ import (
 	"github.com/discsp/discsp/internal/csp"
 	"github.com/discsp/discsp/internal/experiments"
 	"github.com/discsp/discsp/internal/faults"
-	"github.com/discsp/discsp/internal/sim"
 	"github.com/discsp/discsp/internal/stats"
 	"github.com/discsp/discsp/internal/telemetry"
-	"github.com/discsp/discsp/internal/trace"
 )
 
 func main() {
@@ -80,7 +79,6 @@ func run() error {
 		trials    = flag.Int("trials", 1, "random-initial-value trials (seed, seed+1, ...); >1 prints cell-style aggregates")
 		workers   = flag.Int("workers", 0, "concurrent trial workers for -trials; 0 = all CPUs, 1 = serial")
 		verbose   = flag.Bool("v", false, "print the solution assignment")
-		traceOut  = flag.String("trace", "", "write a JSONL cycle trace to this file (sync runs only)")
 		block     = flag.Int("block", 0, "variables per agent; >1 runs the multi-variable AWC extension")
 		faultsArg = flag.String("faults", "", "fault profile for -async/-tcp runs; syntax: "+faults.ProfileSyntax)
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
@@ -92,7 +90,7 @@ func run() error {
 		causalOn  = flag.Bool("causal", false, "attach the causal-tracing layer: deterministic trace IDs on every message, one span per agent activation, nogood lineage (read the stream with dcsptrace)")
 		causalOut = flag.String("trace-out", "", "write the causal trace stream to this file (default: interleave spans with the -telemetry stream)")
 
-		telemetryOut = flag.String("telemetry", "", "write the schema-2 telemetry JSONL stream to this file")
+		telemetryOut = flag.String("telemetry", "", "write the telemetry JSONL stream (one cycle event per synchronous cycle; read it with dcsptrace) to this file")
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /debug/vars, and /debug/pprof on this address (e.g. :9090, or :0 for an ephemeral port)")
 		metricsHold  = flag.Duration("metrics-hold", 0, "keep the -metrics-addr endpoint up this long after the run finishes (for scrapers)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -235,7 +233,11 @@ func run() error {
 
 	// Telemetry: one registry backs both the optional JSONL stream and the
 	// optional live metrics endpoint; attaching either never changes run
-	// results (the layer is observationally inert).
+	// results (the layer is observationally inert). The -block path takes
+	// no Options, so there it would record nothing past the schema event.
+	if *block > 1 && (*telemetryOut != "" || *metricsAddr != "") {
+		return fmt.Errorf("-telemetry and -metrics-addr do not support the -block multi-variable path")
+	}
 	var tel *discsp.Telemetry
 	if *telemetryOut != "" || *metricsAddr != "" {
 		reg := discsp.NewMetricsRegistry()
@@ -302,8 +304,8 @@ func run() error {
 	}
 
 	if *trials > 1 {
-		if *useAsync || *useTCP || *traceOut != "" || *block > 1 {
-			return fmt.Errorf("-trials needs the default synchronous single-variable path (no -async, -tcp, -trace, -block)")
+		if *useAsync || *useTCP || *block > 1 {
+			return fmt.Errorf("-trials needs the default synchronous single-variable path (no -async, -tcp, -block)")
 		}
 		var j *experiments.Journal
 		if *journal != "" {
@@ -328,25 +330,6 @@ func run() error {
 		return fmt.Errorf("-journal needs -trials > 1 (a single run has nothing to resume)")
 	}
 	opts.Telemetry = tel
-
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		if *useAsync {
-			return fmt.Errorf("-trace requires a synchronous run")
-		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		rec = trace.NewRecorder(f)
-		rec.Start(trace.Meta{
-			Algorithm: fmt.Sprintf("%s/%s", opts.Algorithm, *learn),
-			Vars:      problem.NumVars(),
-			Nogoods:   problem.NumNogoods(),
-		})
-		opts.Trace = rec.Hook()
-	}
 
 	var res discsp.Result
 	switch {
@@ -383,19 +366,6 @@ func run() error {
 		}
 		fmt.Printf("%s: solved=%v insoluble=%v cycle=%d maxcck=%d messages=%d\n",
 			opts.Algorithm, res.Solved, res.Insoluble, res.Cycles, res.MaxCCK, res.Messages)
-	}
-	if rec != nil {
-		rec.End(sim.Result{
-			Solved:      res.Solved,
-			Insoluble:   res.Insoluble,
-			Cycles:      res.Cycles,
-			MaxCCK:      res.MaxCCK,
-			TotalChecks: res.TotalChecks,
-			Messages:    int(res.Messages),
-		})
-		if err := rec.Flush(); err != nil {
-			return fmt.Errorf("write trace: %w", err)
-		}
 	}
 	if *verbose && len(res.MessagesByType) > 0 {
 		kinds := make([]string, 0, len(res.MessagesByType))

@@ -1,20 +1,18 @@
-// Command dcsptrace summarizes the JSONL streams the solvers write: the
-// legacy v1 cycle trace (dcspsolve -trace), the schema-2/3 telemetry
-// stream (dcspsolve/dcspbench -telemetry), and the causal trace stream
-// (dcspsolve -causal). The format is detected from the stream's first
-// event; feeding the wrong reader yields a versioned error naming the
-// producing flag instead of a raw JSON field error, and a stream whose
-// tail was torn (the writer died mid-run) is refused with a truncation
-// error instead of rendering a silently partial table.
+// Command dcsptrace summarizes the JSONL telemetry stream the solvers
+// write (dcspsolve/dcspbench -telemetry, dcspsolve -causal -trace-out). A
+// stream that does not open with the schema meta event, or declares a
+// schema this binary cannot read, is refused with a versioned error
+// instead of a raw JSON field error, and a stream whose tail was torn (the
+// writer died mid-run) is refused with a truncation error instead of
+// rendering a silently partial table.
 //
 // Usage:
 //
-//	dcspsolve -algo awc -trace run.jsonl problem.cnf
-//	dcsptrace run.jsonl
-//	dcsptrace -cycles run.jsonl      # include the per-cycle table
+//	dcspsolve -algo awc -telemetry run.jsonl problem.cnf
+//	dcsptrace run.jsonl              # verdict, cycle peaks, store growth, agent table
+//	dcsptrace -cycles run.jsonl      # include the per-cycle table (sync runs)
 //
 //	dcspsolve -async -telemetry t.jsonl problem.cnf
-//	dcsptrace t.jsonl                # verdict, store growth, agent table
 //	dcsptrace -agents t.jsonl        # per-agent progress timelines
 //
 //	dcspsolve -causal -trace-out c.jsonl problem.cnf
@@ -24,7 +22,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,7 +29,6 @@ import (
 
 	"github.com/discsp/discsp/internal/causal"
 	"github.com/discsp/discsp/internal/telemetry"
-	"github.com/discsp/discsp/internal/trace"
 )
 
 func main() {
@@ -68,71 +64,30 @@ type analysis struct {
 	provenance, perfetto     string
 }
 
-// analyze dispatches one trace file to the reader its format calls for and
-// runs the requested analyses. Errors wrap the package-level sentinel of
-// whichever reader refused the stream, so callers (and exit codes) can
-// distinguish a torn tail from a wrong format.
+// analyze reads one telemetry stream, refuses it unless it is complete,
+// and runs the requested analyses. Errors wrap the telemetry reader's
+// sentinels, so callers (and exit codes) can distinguish a torn tail from
+// a wrong format.
 func analyze(path string, a analysis) error {
-	wantCausal := a.critical || a.provenance != "" || a.perfetto != ""
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-
 	events, err := telemetry.Read(f)
-	switch {
-	case err == nil:
-		if err := telemetry.CheckComplete(events); err != nil {
-			return err
-		}
-		if wantCausal {
-			return runCausal(events, a.critical, a.provenance, a.perfetto)
-		}
-		return printTelemetry(events, a.cycles, a.agents)
-	case errors.Is(err, telemetry.ErrLegacyTrace):
-		if wantCausal {
-			return fmt.Errorf("causal analyses need a -causal telemetry stream, not a v1 cycle trace: %w", err)
-		}
-		if _, err := f.Seek(0, 0); err != nil {
-			return err
-		}
-		return printTrace(f, a.cycles)
-	default:
-		return err
-	}
-}
-
-// printTrace summarizes a v1 cycle trace.
-func printTrace(f *os.File, cycles bool) error {
-	events, err := trace.Read(f)
 	if err != nil {
 		return err
 	}
-	if err := trace.CheckComplete(events); err != nil {
+	if err := telemetry.CheckComplete(events); err != nil {
 		return err
 	}
-	s := trace.Summarize(events)
-	fmt.Printf("algorithm:      %s\n", s.Algorithm)
-	fmt.Printf("outcome:        solved=%v insoluble=%v in %d cycles\n", s.Solved, s.Insoluble, s.Cycles)
-	fmt.Printf("maxcck:         %d\n", s.MaxCCK)
-	fmt.Printf("messages:       %d total, peak %d at cycle %d\n", s.TotalMessages, s.PeakMessages, s.PeakMessagesCycle)
-	fmt.Printf("busiest cycle:  %d (%d checks)\n", s.BusiestCycle, s.BusiestCycleChecks)
-
-	if !cycles {
-		return nil
+	if a.critical || a.provenance != "" || a.perfetto != "" {
+		return runCausal(events, a.critical, a.provenance, a.perfetto)
 	}
-	fmt.Printf("\n%6s  %8s  %8s  %10s\n", "cycle", "msgsIn", "msgsOut", "maxChecks")
-	for _, ev := range events {
-		if ev.Kind != trace.KindCycle {
-			continue
-		}
-		fmt.Printf("%6d  %8d  %8d  %10d\n", ev.Cycle, ev.MessagesIn, ev.MessagesOut, ev.MaxChecks)
-	}
-	return nil
+	return printTelemetry(events, a.cycles, a.agents)
 }
 
-// printTelemetry summarizes a schema-2 telemetry stream.
+// printTelemetry summarizes a telemetry stream.
 func printTelemetry(events []telemetry.Event, cycles, agents bool) error {
 	s := telemetry.Summarize(events)
 	if err := s.Fprint(os.Stdout); err != nil {

@@ -8,9 +8,7 @@ import (
 	"testing"
 
 	"github.com/discsp/discsp"
-	"github.com/discsp/discsp/internal/sim"
 	"github.com/discsp/discsp/internal/telemetry"
-	"github.com/discsp/discsp/internal/trace"
 )
 
 // writeFixture drops content into a temp file and returns its path.
@@ -46,78 +44,54 @@ func tornTail(t *testing.T, stream []byte) []byte {
 	}
 }
 
-// solveStreams produces matched v1-trace and telemetry streams from one
-// real solve, so the fixtures are byte-genuine writer output.
-func solveStreams(t *testing.T) (v1, tel []byte) {
+// solveStream produces a telemetry stream from one real solve, so the
+// fixtures are byte-genuine writer output.
+func solveStream(t *testing.T) []byte {
 	t.Helper()
 	col, err := discsp.GenerateColoring(8, 12, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traceBuf, telBuf bytes.Buffer
-	rec := trace.NewRecorder(&traceBuf)
-	rec.Start(trace.Meta{
-		Algorithm: "AWC-rslv",
-		Vars:      col.Problem.NumVars(),
-		Nogoods:   col.Problem.NumNogoods(),
-	})
-	opts := discsp.Options{
-		InitialSeed: 3,
-		Trace:       rec.Hook(),
-		Telemetry:   discsp.NewTelemetry(nil, &telBuf),
-	}
-	res, err := discsp.Solve(col.Problem, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.End(sim.Result{
-		Solved:      res.Solved,
-		Insoluble:   res.Insoluble,
-		Cycles:      res.Cycles,
-		MaxCCK:      res.MaxCCK,
-		TotalChecks: res.TotalChecks,
-		Messages:    int(res.Messages),
-	})
-	if err := rec.Flush(); err != nil {
+	var buf bytes.Buffer
+	opts := discsp.Options{InitialSeed: 3, Telemetry: discsp.NewTelemetry(nil, &buf)}
+	if _, err := discsp.Solve(col.Problem, opts); err != nil {
 		t.Fatal(err)
 	}
 	if err := opts.Telemetry.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return traceBuf.Bytes(), telBuf.Bytes()
+	return buf.Bytes()
 }
 
 func TestAnalyzeAcceptsCompleteStreams(t *testing.T) {
-	v1, tel := solveStreams(t)
-	if err := analyze(writeFixture(t, "v1.jsonl", v1), analysis{}); err != nil {
-		t.Errorf("complete v1 trace refused: %v", err)
-	}
-	if err := analyze(writeFixture(t, "tel.jsonl", tel), analysis{}); err != nil {
+	tel := solveStream(t)
+	if err := analyze(writeFixture(t, "tel.jsonl", tel), analysis{cycles: true}); err != nil {
 		t.Errorf("complete telemetry stream refused: %v", err)
 	}
 }
 
-// TestAnalyzeRefusesTornTails is the satellite's contract: a stream whose
-// tail was torn exits with the reader's versioned truncation error instead
-// of rendering a silently partial table.
+// TestAnalyzeRefusesTornTails: a stream whose tail was torn exits with the
+// reader's versioned truncation error instead of rendering a silently
+// partial table.
 func TestAnalyzeRefusesTornTails(t *testing.T) {
-	v1, tel := solveStreams(t)
-	err := analyze(writeFixture(t, "v1-torn.jsonl", tornTail(t, v1)), analysis{})
-	if !errors.Is(err, trace.ErrTruncatedTrace) {
-		t.Errorf("torn v1 trace: want ErrTruncatedTrace, got %v", err)
-	}
-	err = analyze(writeFixture(t, "tel-torn.jsonl", tornTail(t, tel)), analysis{})
+	err := analyze(writeFixture(t, "tel-torn.jsonl", tornTail(t, solveStream(t))), analysis{})
 	if !errors.Is(err, telemetry.ErrTruncatedStream) {
 		t.Errorf("torn telemetry stream: want ErrTruncatedStream, got %v", err)
 	}
 }
 
-// TestAnalyzeCausalOnLegacyTrace: asking a v1 cycle trace for causal
-// analyses names the producing flag via the versioned legacy-trace error.
-func TestAnalyzeCausalOnLegacyTrace(t *testing.T) {
-	v1, _ := solveStreams(t)
-	err := analyze(writeFixture(t, "v1.jsonl", v1), analysis{critical: true})
-	if !errors.Is(err, telemetry.ErrLegacyTrace) {
-		t.Errorf("want ErrLegacyTrace, got %v", err)
+// TestAnalyzeRefusesV1Trace: a file in the retired v1 cycle-trace layout
+// (a start event, cycle events, an end event, no schema meta event) is a
+// malformed stream for every analysis, not a format to fall back to.
+func TestAnalyzeRefusesV1Trace(t *testing.T) {
+	v1 := writeFixture(t, "v1.jsonl", []byte(`{"kind":"start","algorithm":"AWC/rslv","vars":8,"nogoods":36}
+{"kind":"cycle","cycle":1,"messagesIn":20,"messagesOut":14,"maxChecks":12}
+{"kind":"cycle","cycle":2,"messagesIn":14,"maxChecks":9,"solutionFound":true}
+{"kind":"end","solutionFound":true,"cycles":2,"maxcck":21,"totalChecks":80,"messages":34}
+`))
+	for _, a := range []analysis{{}, {cycles: true}, {critical: true}} {
+		if err := analyze(v1, a); !errors.Is(err, telemetry.ErrMalformedStream) {
+			t.Errorf("%+v: want ErrMalformedStream, got %v", a, err)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"github.com/discsp/discsp/internal/causal"
 	"github.com/discsp/discsp/internal/core"
 	"github.com/discsp/discsp/internal/csp"
-	"github.com/discsp/discsp/internal/faults"
 	"github.com/discsp/discsp/internal/gen"
 	"github.com/discsp/discsp/internal/sim"
 	"github.com/discsp/discsp/internal/telemetry"
@@ -65,24 +64,22 @@ func checkTrace(t *testing.T, events []telemetry.Event) *causal.Graph {
 	return g
 }
 
-// TestCausalSurvivesCrashRestart crash-restarts a traced node mid-solve and
-// requires the final trace to be a single well-formed run: the restarted
-// incarnation reuses its predecessor's AgentTracer, so no trace ID is ever
-// reissued and every nogood it re-announces still resolves.
+// TestCausalSurvivesCrashRestart crash-restarts a traced node and requires
+// the final trace to be a single well-formed run. On the mustRejoin
+// instance the restart is certain: agent 1's only step picks the solving
+// value and dies before reporting it. That step's span, and the trace ID
+// it stamped on its ok?, outlive the crash: the restarted incarnation
+// reuses its predecessor's AgentTracer and retransmits the ok? from the
+// checkpointed unacked window, so no trace ID is reissued and a consumer's
+// cause still resolves.
 func TestCausalSurvivesCrashRestart(t *testing.T) {
-	inst, err := gen.Coloring(15, 35, 3, 73)
-	if err != nil {
-		t.Fatal(err)
-	}
-	init := gen.RandomInitial(inst.Problem, 74)
-	tracer, maker, done := causalRun(t, inst.Problem, awcMaker(inst.Problem, init))
+	p, init, fcfg := mustRejoin(t)
+	tracer, maker, done := causalRun(t, p, awcMaker(p, init))
 
-	res, err := Run(inst.Problem, maker, Options{
-		Timeout: 60 * time.Second,
+	res, err := Run(p, maker, Options{
+		Timeout: 30 * time.Second,
 		Causal:  tracer,
-		Faults: &faults.Config{Seed: 5, Crashes: []faults.Crash{
-			{Agent: 2, AfterSteps: 0, Restart: true},
-		}},
+		Faults:  fcfg,
 	})
 	if err != nil {
 		t.Fatalf("run: %v (res=%+v)", err, res)
@@ -92,19 +89,24 @@ func TestCausalSurvivesCrashRestart(t *testing.T) {
 	}
 
 	g := checkTrace(t, done())
-	// The crashed agent must have kept tracing after its restart: spans from
-	// agent 2 exist on both sides of the crash (AfterSteps: 0 kills it on
-	// its first step, so any span from it at all proves the handle survived
-	// — require several to show the restarted incarnation kept going).
-	spans2 := 0
+	// The crashed incarnation's init and step spans are both in the trace,
+	// and the step emitted the new value to agent 0.
+	spans1, emitted := 0, 0
 	for _, id := range g.Order {
 		n := g.Nodes[id]
-		if n.Agent == 2 && (n.Kind == causal.SpanInit || n.Kind == causal.SpanStep) {
-			spans2++
+		switch {
+		case n.Agent == 1 && (n.Kind == causal.SpanInit || n.Kind == causal.SpanStep):
+			spans1++
+		case n.Agent == 1 && n.Kind == causal.KindMessage && n.To == 0 &&
+			g.Nodes[n.Causes[0]].Kind == causal.SpanStep:
+			emitted++
 		}
 	}
-	if spans2 < 2 {
-		t.Errorf("restarted agent contributed %d spans, want >= 2", spans2)
+	if spans1 < 2 {
+		t.Errorf("crashed agent contributed %d spans, want >= 2 (init and the crashed step)", spans1)
+	}
+	if emitted == 0 {
+		t.Error("the crashed step emitted no traced message to agent 0")
 	}
 }
 
@@ -139,6 +141,7 @@ func TestCausalSurvivesColdReconnect(t *testing.T) {
 	}()
 	addrs := <-addrsCh
 	px := newTestProxy(t, addrs[0])
+	px.at(4<<10, px.severAll)
 
 	statsCh := make(chan WorkerStats, 1)
 	workerErr := make(chan error, 1)
@@ -152,9 +155,6 @@ func TestCausalSurvivesColdReconnect(t *testing.T) {
 		statsCh <- st
 		workerErr <- err
 	}()
-
-	px.waitBytes(t, 4<<10, 20*time.Second)
-	px.severAll()
 
 	out := <-hubCh
 	if out.err != nil {

@@ -2,7 +2,10 @@ package netrun
 
 import (
 	"errors"
+	"io"
+	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,15 +121,34 @@ func TestNetrunAWCUnderDropAndDup(t *testing.T) {
 	}
 }
 
+// mustRejoin is the crash-restart instance whose verdict cannot arrive
+// before the restart: x0 != x1 over {0, 1}, both starting at 0, and agent 1
+// crashing in its first step. Agent 0 outranks agent 1 under AWC (equal
+// priorities break toward the smaller id), so agent 1 must move to 1, and
+// it does so in exactly the step the crash kills before its state report
+// leaves. The hub can therefore learn x1 = 1 only from the restarted
+// incarnation's re-report, and Restarts is counted before that incarnation
+// starts. A restart that races the verdict (TestNetrunCrashRestartAWC's
+// 15-variable coloring, where the crashed agent's value may already be
+// part of a solution) can pin only Restarts <= 1.
+func mustRejoin(t *testing.T) (*csp.Problem, csp.SliceAssignment, *faults.Config) {
+	t.Helper()
+	p := csp.NewProblemUniform(2, 2)
+	if err := p.AddNotEqual(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	return p, csp.SliceAssignment{0, 0}, &faults.Config{Seed: 5, Crashes: []faults.Crash{
+		{Agent: 1, AfterSteps: 0, Restart: true},
+	}}
+}
+
 func TestNetrunCrashRestartAWC(t *testing.T) {
 	inst, err := gen.Coloring(15, 35, 3, 73)
 	if err != nil {
 		t.Fatal(err)
 	}
 	init := gen.RandomInitial(inst.Problem, 74)
-	res, err := Run(inst.Problem, func(v csp.Var) sim.Agent {
-		return core.NewAgent(v, inst.Problem, init[v], core.Learning{Kind: core.LearnResolvent})
-	}, Options{
+	res, err := Run(inst.Problem, awcMaker(inst.Problem, init), Options{
 		Timeout: 60 * time.Second,
 		Faults: &faults.Config{Seed: 5, Crashes: []faults.Crash{
 			{Agent: 2, AfterSteps: 0, Restart: true},
@@ -135,11 +157,58 @@ func TestNetrunCrashRestartAWC(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v (res=%+v)", err, res)
 	}
-	if !res.Solved {
+	if !res.Solved || !inst.Problem.IsSolution(res.Assignment) {
+		t.Fatalf("not solved across crash-restart: %+v", res)
+	}
+	if res.Restarts > 1 {
+		t.Fatalf("restarts = %d, want at most 1: %+v", res.Restarts, res)
+	}
+
+	p, init, fcfg := mustRejoin(t)
+	res, err = Run(p, awcMaker(p, init), Options{Timeout: 30 * time.Second, Faults: fcfg})
+	if err != nil {
+		t.Fatalf("run: %v (res=%+v)", err, res)
+	}
+	if !res.Solved || !p.IsSolution(res.Assignment) {
 		t.Fatalf("not solved across crash-restart: %+v", res)
 	}
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d, want 1: %+v", res.Restarts, res)
+	}
+}
+
+// TestAcceptAfterShutdownSweepCloses pins the shutdown race a restart can
+// lose: a connection accepted after Run's shutdown sweep closed every
+// known connection must be closed by its accept loop. Otherwise the
+// dialing node waits forever for a welcome no route loop will send, and
+// Run never returns. TestNetrunCrashRestartAWC hit this when agent 2's
+// restart coincided with the verdict.
+func TestAcceptAfterShutdownSweepCloses(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	h := &hub{connsClosed: true}
+	var readWG sync.WaitGroup
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.acceptLoop(&relay{ln: ln}, &readWG)
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("late connection left open: read returned %v, want EOF", err)
+	}
+	<-done
+	readWG.Wait()
+	if len(h.allConns) != 0 {
+		t.Errorf("late connection joined the byte sweep")
 	}
 }
 

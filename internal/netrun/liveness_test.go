@@ -6,6 +6,7 @@ package netrun
 
 import (
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"github.com/discsp/discsp/internal/faults"
 	"github.com/discsp/discsp/internal/gen"
 	"github.com/discsp/discsp/internal/sim"
+	"github.com/discsp/discsp/internal/wire"
 )
 
 // testProxy is a byte-level TCP proxy between workers and one hub relay. It
@@ -34,6 +36,9 @@ type testProxy struct {
 	pipes    []net.Conn
 	gen      int // generation stamped on conns at accept
 	silenced int // pipes with gen < silenced discard instead of forwarding
+	drop     int // connections still to close at accept, before dialing the target
+	fault    func()
+	faultAt  int64 // fault runs once the byte count reaches faultAt
 
 	bytes atomic.Int64 // total payload bytes observed, both directions
 }
@@ -61,6 +66,16 @@ func (p *testProxy) acceptLoop() {
 		if err != nil {
 			return
 		}
+		p.mu.Lock()
+		drop := p.drop > 0
+		if drop {
+			p.drop--
+		}
+		p.mu.Unlock()
+		if drop {
+			down.Close()
+			continue
+		}
 		up, err := net.Dial("tcp", p.target)
 		if err != nil {
 			down.Close()
@@ -80,7 +95,9 @@ func (p *testProxy) pump(dst, src net.Conn, gen int) {
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			p.bytes.Add(int64(n))
+			if fault := p.due(p.bytes.Add(int64(n))); fault != nil {
+				fault()
+			}
 			p.mu.Lock()
 			hole := gen < p.silenced
 			p.mu.Unlock()
@@ -117,17 +134,28 @@ func (p *testProxy) silenceExisting() {
 	p.silenced = p.gen
 }
 
-// waitBytes blocks until the proxy has carried at least n payload bytes —
-// "the run is demonstrably mid-solve" — or the deadline passes.
-func (p *testProxy) waitBytes(t *testing.T, n int64, deadline time.Duration) {
-	t.Helper()
-	end := time.Now().Add(deadline)
-	for p.bytes.Load() < n {
-		if time.Now().After(end) {
-			t.Fatalf("proxy carried only %d bytes in %v, want %d", p.bytes.Load(), deadline, n)
-		}
-		time.Sleep(2 * time.Millisecond)
+// at arms a one-shot fault (severAll or silenceExisting) for the moment
+// the proxy's byte count reaches n. The pump whose read crosses n runs it
+// before forwarding that read, so the fault lands at a fixed point in the
+// byte stream — mid-solve, however the scheduler delays the test
+// goroutine. Acting from the test goroutine after polling the count can
+// land after the verdict: the whole solve takes a few tens of milliseconds.
+func (p *testProxy) at(n int64, fault func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.fault, p.faultAt = fault, n
+}
+
+// due hands back the armed fault, once, when total has reached its mark.
+func (p *testProxy) due(total int64) func() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fault := p.fault
+	if fault == nil || total < p.faultAt {
+		return nil
 	}
+	p.fault = nil
+	return fault
 }
 
 func allVars(n int) []int {
@@ -182,6 +210,180 @@ func TestWorkerDialRetryBeforeHubListens(t *testing.T) {
 	}
 }
 
+// TestWorkerBacksOffWhenNoRelayAnswers points a worker at a listener that
+// accepts every connection and closes it unanswered — what a proxy in front
+// of a finished hub looks like. Each dial succeeds and each hello dies, so
+// only the session layer can tell that nothing is there: the worker must
+// back off between attempts and give up at ConnectTimeout, not redial in a
+// hot loop that never ends.
+func TestWorkerBacksOffWhenNoRelayAnswers(t *testing.T) {
+	p, init := ringProblem(t, 6)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var accepted atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			c.Close()
+		}
+	}()
+
+	start := time.Now()
+	workerErr := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(p, awcMaker(p, init), WorkerOptions{
+			Addrs:          []string{ln.Addr().String()},
+			Vars:           []int{0},
+			ConnectTimeout: 300 * time.Millisecond,
+		})
+		workerErr <- err
+	}()
+	select {
+	case err := <-workerErr:
+		if err == nil || !strings.Contains(err.Error(), "no welcome") {
+			t.Fatalf("worker error = %v, want the unanswered hello reported", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("worker still redialing after 10s (%d connections accepted)", accepted.Load())
+	}
+	// Backoff from 25ms doubling spaces the attempts: a handful fit in the
+	// 300ms timeout, where a hot loop makes thousands.
+	if n := accepted.Load(); n > 20 {
+		t.Errorf("%d connections in %v: no backoff between unanswered hellos", n, time.Since(start))
+	}
+}
+
+// TestWorkerInitsAfterUnansweredHello drops agent 0's first connection
+// before any relay sees its hello. The next attempt must be a fresh start,
+// not a resume: on the mustRejoin instance agent 0 outranks agent 1, so the
+// run solves only after agent 0's init announces x0 = 0 and agent 1 moves.
+// A resumed hello would skip that init and leave both agents at 0.
+func TestWorkerInitsAfterUnansweredHello(t *testing.T) {
+	p, init, _ := mustRejoin(t)
+	maker := awcMaker(p, init)
+
+	addrsCh := make(chan []string, 1)
+	type hubOut struct {
+		res Result
+		err error
+	}
+	hubCh := make(chan hubOut, 1)
+	go func() {
+		res, err := Run(p, maker, Options{
+			Timeout:  10 * time.Second,
+			External: true,
+			OnListen: func(addrs []string) { addrsCh <- addrs },
+		})
+		hubCh <- hubOut{res, err}
+	}()
+	addrs := <-addrsCh
+	px := newTestProxy(t, addrs[0])
+	px.mu.Lock()
+	px.drop = 1
+	px.mu.Unlock()
+
+	workerErrs := make(chan error, 2)
+	for v, addr := range []string{px.addr(), addrs[0]} {
+		go func() {
+			_, err := RunWorker(p, maker, WorkerOptions{
+				Addrs:          []string{addr},
+				Vars:           []int{v},
+				ConnectTimeout: 10 * time.Second,
+			})
+			workerErrs <- err
+		}()
+	}
+
+	out := <-hubCh
+	if out.err != nil {
+		t.Fatalf("run: %v (res=%+v)", out.err, out.res)
+	}
+	if !out.res.Solved || !p.IsSolution(out.res.Assignment) {
+		t.Fatalf("not solved after agent 0's unanswered hello: %+v", out.res)
+	}
+	for range 2 {
+		if err := <-workerErrs; err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+	}
+	px.mu.Lock()
+	defer px.mu.Unlock()
+	if px.drop != 0 {
+		t.Fatal("agent 0 never dialed through the proxy")
+	}
+}
+
+// TestStaleHelloIgnored delivers a node's hellos to the hub out of order:
+// the hello on its newer connection is answered first, then the one on the
+// connection it replaced (accepted earlier) arrives. A sever during the
+// handshake makes this race real — each connection has its own reader
+// goroutine. The late hello must be refused, not registered: honoring it
+// closed the live connection and, without the resume flag, cold-reset the
+// peers' links with a node that kept its own numbering, which stalled the
+// run.
+func TestStaleHelloIgnored(t *testing.T) {
+	p, init, _ := mustRejoin(t)
+	addrsCh := make(chan []string, 1)
+	hubDone := make(chan struct{})
+	go func() {
+		defer close(hubDone)
+		Run(p, awcMaker(p, init), Options{
+			Timeout:        5 * time.Second,
+			External:       true,
+			ReconnectGrace: -1, // end the run once the live connection closes
+			OnListen:       func(addrs []string) { addrsCh <- addrs },
+		})
+	}()
+	addr := (<-addrsCh)[0]
+	dial := func() net.Conn {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	hello := func(c net.Conn, resume bool) {
+		fw := wire.NewFrameWriter(c)
+		if err := fw.Send(&wire.Envelope{Type: wire.TypeHello, From: 0, Codec: "json", Resume: resume}); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	older, newer := dial(), dial() // accepted in dial order
+
+	hello(newer, true)
+	newer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if w, err := wire.NewFrameReader(newer).Next(); err != nil || w.Type != wire.TypeWelcome {
+		t.Fatalf("newer connection: got %+v, %v; want a welcome", w, err)
+	}
+	hello(older, false)
+	older.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if w, err := wire.NewFrameReader(older).Next(); err == nil {
+		t.Fatalf("stale hello answered with %q", w.Type)
+	} else if !errors.Is(err, io.EOF) {
+		t.Fatalf("stale connection: %v, want it closed", err)
+	}
+	// The live connection is still open: a read sees a heartbeat or times
+	// out, not EOF.
+	newer.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	var ne net.Error
+	if _, err := newer.Read(make([]byte, 1)); err != nil && !(errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("live connection closed after the stale hello: %v", err)
+	}
+	newer.Close()
+	<-hubDone
+}
+
 // TestWorkerReconnectAfterSever severs every worker connection mid-solve
 // and requires the run to finish anyway: the workers redial, re-hello with
 // the resume flag, replay their unacked windows, and both sides count the
@@ -211,6 +413,7 @@ func TestWorkerReconnectAfterSever(t *testing.T) {
 	}()
 	addrs := <-addrsCh
 	px := newTestProxy(t, addrs[0])
+	px.at(4<<10, px.severAll)
 
 	statsCh := make(chan WorkerStats, 1)
 	workerErr := make(chan error, 1)
@@ -223,9 +426,6 @@ func TestWorkerReconnectAfterSever(t *testing.T) {
 		statsCh <- st
 		workerErr <- err
 	}()
-
-	px.waitBytes(t, 4<<10, 20*time.Second)
-	px.severAll()
 
 	out := <-hubCh
 	if out.err != nil {
@@ -280,6 +480,7 @@ func TestDeadPeerDetection(t *testing.T) {
 	}()
 	addrs := <-addrsCh
 	px := newTestProxy(t, addrs[0])
+	px.at(4<<10, px.silenceExisting)
 
 	workerErr := make(chan error, 1)
 	go func() {
@@ -292,9 +493,6 @@ func TestDeadPeerDetection(t *testing.T) {
 		})
 		workerErr <- err
 	}()
-
-	px.waitBytes(t, 4<<10, 20*time.Second)
-	px.silenceExisting()
 
 	out := <-hubCh
 	if out.err != nil {
@@ -366,6 +564,13 @@ func TestNegativeGraceFailsImmediately(t *testing.T) {
 	}
 }
 
+// corruptFirstAttempts damages the first attempt of every algorithm frame
+// and lets every retransmission through, so no message reaches an agent
+// except by retransmission: a run that solves must have retransmitted,
+// however fast it solves. A probabilistic rate would let a quick verdict
+// land before any damaged frame needed its resend.
+var corruptFirstAttempts = faults.Config{Seed: 9, Corrupt: 1, MaxAttempts: 1}
+
 // TestCorruptFramesRecoveredByCRC runs AWC under a seeded corruption fault
 // with the CRC32C trailer armed: every damaged frame must be detected and
 // counted at the receiver, recovered by retransmission, and the run must
@@ -381,7 +586,7 @@ func TestCorruptFramesRecoveredByCRC(t *testing.T) {
 	}, Options{
 		Timeout:  60 * time.Second,
 		Checksum: true,
-		Faults:   &faults.Config{Seed: 9, Corrupt: 0.15},
+		Faults:   &corruptFirstAttempts,
 	})
 	if err != nil {
 		t.Fatalf("run: %v (res=%+v)", err, res)
@@ -390,7 +595,7 @@ func TestCorruptFramesRecoveredByCRC(t *testing.T) {
 		t.Fatalf("not solved under corruption: %+v", res)
 	}
 	if res.CorruptFrames == 0 {
-		t.Errorf("no corrupt frames detected at 15%% corruption: %+v", res)
+		t.Errorf("no corrupt frames detected with every first attempt damaged: %+v", res)
 	}
 	if res.Retransmits == 0 {
 		t.Errorf("no retransmits; corrupted frames were not recovered by the transport: %+v", res)
@@ -411,7 +616,7 @@ func TestCorruptWithoutChecksumDegradesToDrop(t *testing.T) {
 		return core.NewAgent(v, inst.Problem, init[v], core.Learning{Kind: core.LearnResolvent})
 	}, Options{
 		Timeout: 60 * time.Second,
-		Faults:  &faults.Config{Seed: 9, Corrupt: 0.15},
+		Faults:  &corruptFirstAttempts,
 	})
 	if err != nil {
 		t.Fatalf("run: %v (res=%+v)", err, res)

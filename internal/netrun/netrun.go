@@ -413,6 +413,7 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		lastSeen:       make([]time.Time, n),
 		deadNotified:   make([]bool, n),
 		everRegistered: make([]bool, n),
+		helloOrder:     make([]int, n),
 		down:           make(map[int]time.Time),
 		resetPending:   make(map[[2]int]bool),
 	}
@@ -528,6 +529,7 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		r.ln.Close()
 	}
 	hub.connMu.Lock()
+	hub.connsClosed = true
 	for _, rc := range hub.allConns {
 		rc.conn.Close()
 	}
@@ -645,6 +647,7 @@ type hub struct {
 	lastSeen       []time.Time       // last inbound frame per node
 	deadNotified   []bool            // dead-peer already counted (in-process runs)
 	everRegistered []bool            // node has completed at least one hello
+	helloOrder     []int             // accept order of the node's last registered connection
 	down           map[int]time.Time // unreachable nodes: when the grace clock started
 	// resetPending[{x, b}] marks that node x has not yet confirmed the
 	// link reset for cold-restarted node b; until the echo arrives, x's
@@ -670,9 +673,12 @@ type hub struct {
 
 	// allConns is every accepted connection (including replaced ones after
 	// a crash), appended by the accept loops and swept for byte totals
-	// after all I/O goroutines exit.
-	connMu   sync.Mutex
-	allConns []*relayConn
+	// after all I/O goroutines exit. connsClosed marks the shutdown sweep
+	// that closed them; an accept loop that wins a connection after it
+	// closes that connection itself.
+	connMu      sync.Mutex
+	allConns    []*relayConn
+	connsClosed bool
 
 	start       time.Time // run start; partition windows are offsets from it
 	partitioned int64
@@ -978,9 +984,20 @@ func (h *hub) handle(f inFrame, reported map[int]bool) (bool, Result, error) {
 // drain any frames that queued while the node was unregistered (the node's
 // reorder buffer handles staleness). A re-hello replaces the node's old
 // connection; one without the resume flag is a cold process relaunch, which
-// additionally resets the node's links everywhere (see coldReset).
+// additionally resets the node's links everywhere (see coldReset). A hello
+// on a connection accepted before the node's registered one is stale and
+// closes its connection instead.
 func (h *hub) register(rc *relayConn, hello wire.Envelope) error {
 	from := hello.From
+	if rc.order < h.helloOrder[from] {
+		// A hello that reached the route loop after the one on its node's
+		// next connection, which the node dialed only after giving this
+		// one up. Registering it would close the live connection and, for
+		// a hello without resume, reset links the node is still using.
+		rc.conn.Close()
+		return nil
+	}
+	h.helloOrder[from] = rc.order
 	neg, err := wire.ParseCodec(hello.Codec)
 	if err != nil {
 		neg = wire.CodecJSON // unknown request: the safe common ground

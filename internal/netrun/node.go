@@ -130,6 +130,7 @@ type nodeState struct {
 	steps         int
 	pendingReport int
 	restored      bool  // a checkpoint was replayed into this state
+	initialized   bool  // Init ran; a session before that runs it, resumed or not
 	corrupt       int64 // CRC-rejected inbound frames, summed across sessions
 }
 
@@ -137,23 +138,50 @@ type nodeState struct {
 type sessionEnd int
 
 const (
-	endStop    sessionEnd = iota // clean: stop frame, run over, or hub teardown
-	endCrashed                   // the fault schedule killed this incarnation
-	endLost                      // connection failed; redial and resume
+	endStop       sessionEnd = iota // clean: stop frame, run over, or hub teardown
+	endCrashed                      // the fault schedule killed this incarnation
+	endLost                         // connection failed; redial and resume
+	endUnwelcomed                   // connection failed before the welcome; back off, redial
 )
 
 // errRunOver marks a dial abandoned because the run already ended.
 var errRunOver = errors.New("netrun: run over")
 
-// dialNode connects to the node's relay. Reconnect-enabled nodes retry
-// refused dials on jittered backoff until connectTimeout — both at startup,
-// where a worker process may launch before the hub listens, and on
-// reconnection, where the hub may still be tearing down the old socket.
-// In-process nodes dial once: their hub listens before any node starts.
-func dialNode(cfg nodeConfig) (net.Conn, error) {
+// redial paces a reconnect-enabled node's attempts to reach its relay. A
+// refused dial and a socket that dies before its welcome are both failed
+// attempts, retried on jittered backoff until connectTimeout after the
+// first failure — at startup, where a worker process may launch before the
+// hub listens, and on reconnection, where the hub may still be tearing
+// down the old socket. A welcomed session ends the streak.
+type redial struct {
+	attempt  int
+	deadline time.Time
+}
+
+// wait sleeps out the backoff after a failed attempt. It returns errRunOver
+// if the run ends meanwhile, and err once the streak has lasted
+// connectTimeout.
+func (r *redial) wait(cfg nodeConfig, err error) error {
+	if r.attempt == 0 {
+		r.deadline = time.Now().Add(cfg.connectTimeoutOrDefault())
+	}
+	if time.Now().After(r.deadline) {
+		return err
+	}
 	pol := backoff.Policy{Base: 25 * time.Millisecond, Cap: time.Second}
-	deadline := time.Now().Add(cfg.connectTimeoutOrDefault())
-	for attempt := 0; ; attempt++ {
+	select {
+	case <-time.After(pol.Jittered(r.attempt, int64(cfg.v)+1)):
+	case <-cfg.done:
+		return errRunOver
+	}
+	r.attempt++
+	return nil
+}
+
+// dialNode connects to the node's relay, retrying refused dials through r.
+// In-process nodes dial once: their hub listens before any node starts.
+func dialNode(cfg nodeConfig, r *redial) (net.Conn, error) {
+	for {
 		conn, err := net.Dial("tcp", cfg.addr)
 		if err == nil {
 			return conn, nil
@@ -166,13 +194,8 @@ func dialNode(cfg nodeConfig) (net.Conn, error) {
 		if !cfg.reconnect {
 			return nil, err
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("netrun: connect %s: %w", cfg.addr, err)
-		}
-		select {
-		case <-time.After(pol.Jittered(attempt, int64(cfg.v)+1)):
-		case <-cfg.done:
-			return nil, errRunOver
+		if err := r.wait(cfg, fmt.Errorf("netrun: connect %s: %w", cfg.addr, err)); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -241,8 +264,11 @@ func runNode(cfg nodeConfig, incarnation int) (bool, error) {
 		}
 	}
 
+	// A session lost before its welcome is one more failed attempt to
+	// reach the relay, not a reconnection.
+	var rd redial
 	for session := 0; ; session++ {
-		conn, err := dialNode(cfg)
+		conn, err := dialNode(cfg, &rd)
 		if err != nil {
 			if errors.Is(err, errRunOver) {
 				return false, nil
@@ -259,10 +285,24 @@ func runNode(cfg nodeConfig, incarnation int) (bool, error) {
 			return false, nil
 		case endCrashed:
 			return true, nil
+		case endUnwelcomed:
+			// Something accepted the socket but no relay answered the
+			// hello: a hub gone behind a proxy, or one mid-teardown.
+			// Redialing at once would spin until the run's end, which this
+			// node may never hear of.
+			err := rd.wait(cfg, fmt.Errorf("netrun: %s accepted the connection but sent no welcome", cfg.addr))
+			if errors.Is(err, errRunOver) {
+				return false, nil
+			}
+			if err != nil {
+				return false, err
+			}
+			continue
 		}
 		// endLost: the link died mid-solve. Redial and resume — the links
 		// keep their numbering, so the hub treats the re-hello like a
 		// checkpoint restart with the state still warm.
+		rd = redial{}
 		ctr.reconnects.Add(1)
 	}
 }
@@ -362,14 +402,31 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	resume := st.restored || session > 0
 	hello := wire.Envelope{Type: wire.TypeHello, From: int(v), Codec: cfg.codec.String(),
 		Crc: cfg.crc, Causal: cfg.causal != nil, Resume: resume}
+	failHello := func(err error) (sessionEnd, error) {
+		end, err := fail(err)
+		if end == endLost {
+			end = endUnwelcomed
+		}
+		return end, err
+	}
 	if err := send(hello); err != nil {
-		return fail(err)
+		return failHello(err)
 	}
 	if err := fw.Flush(); err != nil {
-		return fail(err)
+		return failHello(err)
+	}
+	// The hub answers a hello at once: a welcome slower than the dead-peer
+	// bound means a black-holed socket, abandoned like a silent link.
+	if cfg.reconnect && cfg.deadPeer > 0 {
+		if err := conn.SetReadDeadline(time.Now().Add(cfg.deadPeer)); err != nil {
+			return failHello(err)
+		}
 	}
 	welcome, err := fr.Next()
 	if err != nil {
+		return failHello(err)
+	}
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		return fail(err)
 	}
 	switch welcome.Type {
@@ -410,7 +467,11 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	}
 
 	now := time.Now()
-	if resume {
+	// A resumed session replays; so does a restored one. A node whose
+	// earlier sessions all died before Init resumes without having run it:
+	// it has sent and acknowledged nothing, so its fresh links agree with
+	// the peers' numbering, and it runs Init now.
+	if st.restored || st.initialized {
 		// The crash or disconnect may have eaten anything not yet acked:
 		// retransmit the whole unacked window, then re-report the step
 		// whose state frame may have been swallowed.
@@ -429,6 +490,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	} else {
 		at.Begin(causal.SpanInit, 0)
 		out := agent.Init()
+		st.initialized = true
 		stampOut(at, out)
 		at.End()
 		for _, m := range out {

@@ -40,6 +40,7 @@ type relayConn struct {
 	fw    *wire.FrameWriter
 	fr    *wire.FrameReader
 	node  int  // registered node id; -1 until the hello is processed
+	order int  // accept order across the run's relays, from 1
 	dirty bool // buffered writes awaiting the route loop's idle flush
 	crcOn bool // CRC32C trailer negotiated on this connection
 }
@@ -52,14 +53,24 @@ func (h *hub) acceptLoop(r *relay, readWG *sync.WaitGroup) {
 		if err != nil {
 			return // listener closed at shutdown
 		}
+		h.connMu.Lock()
+		if h.connsClosed {
+			// Accepted just before the listener closed, but after the
+			// shutdown sweep: no route loop will answer this hello, so
+			// close it rather than leave the dialing node (a restart
+			// racing the verdict) blocked on its welcome forever.
+			h.connMu.Unlock()
+			conn.Close()
+			return
+		}
 		rc := &relayConn{
 			conn:  conn,
 			shard: r.index,
 			fw:    wire.NewFrameWriter(conn),
 			fr:    wire.NewFrameReader(conn),
 			node:  -1,
+			order: len(h.allConns) + 1,
 		}
-		h.connMu.Lock()
 		h.allConns = append(h.allConns, rc)
 		h.connMu.Unlock()
 		readWG.Add(1)

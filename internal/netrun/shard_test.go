@@ -293,9 +293,10 @@ func TestShardCodecMatrixPartitionWindow(t *testing.T) {
 	}
 }
 
-// TestShardCodecMatrixCrashRestart replays the PR-3 crash-restart profile
-// across the matrix: agent 2 dies before its first step and rejoins from
-// its checkpoint, on every codec and shard count.
+// TestShardCodecMatrixCrashRestart replays the crash-restart profile across
+// the matrix on every codec and shard count: agent 2 of a 15-variable
+// coloring dies in its first step and rejoins from its checkpoint, and the
+// mustRejoin instance pins the exact restart count.
 func TestShardCodecMatrixCrashRestart(t *testing.T) {
 	inst, err := gen.Coloring(15, 35, 3, 73)
 	if err != nil {
@@ -305,6 +306,7 @@ func TestShardCodecMatrixCrashRestart(t *testing.T) {
 	fcfg := &faults.Config{Seed: 5, Crashes: []faults.Crash{
 		{Agent: 2, AfterSteps: 0, Restart: true},
 	}}
+	pinned, pinnedInit, pinnedFaults := mustRejoin(t)
 	for _, cfg := range []matrixConfig{
 		{"binary/shards=1", wire.CodecBinary, 1},
 		{"binary/shards=4", wire.CodecBinary, 4},
@@ -325,15 +327,23 @@ func TestShardCodecMatrixCrashRestart(t *testing.T) {
 				t.Fatalf("crash-restart coloring not solved: %+v", res)
 			}
 			// The crash schedule is deterministic, but whether the restart
-			// beats termination is not: a sharded run may solve before the
-			// crashed node rejoins. Pin the exact count only on the
-			// single-shard baseline (which TestNetrunCrashRestartAWC already
-			// holds stable); elsewhere the verdict is the invariant.
-			if cfg.shards == 1 && res.Restarts != 1 {
-				t.Errorf("Restarts = %d, want 1", res.Restarts)
-			}
+			// beats termination is not: the run may solve before the
+			// crashed node rejoins.
 			if res.Restarts > 1 {
 				t.Errorf("Restarts = %d, want at most 1", res.Restarts)
+			}
+
+			res, err = Run(pinned, awcMaker(pinned, pinnedInit), Options{
+				Timeout: 30 * time.Second,
+				Codec:   cfg.codec,
+				Shards:  cfg.shards,
+				Faults:  pinnedFaults,
+			})
+			if err != nil {
+				t.Fatalf("run: %v (res=%+v)", err, res)
+			}
+			if !res.Solved || !pinned.IsSolution(res.Assignment) || res.Restarts != 1 {
+				t.Errorf("want solved with 1 restart: %+v", res)
 			}
 		})
 	}

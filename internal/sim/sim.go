@@ -110,7 +110,8 @@ type Options struct {
 	// MaxCycles is the cutoff; 0 means DefaultMaxCycles.
 	MaxCycles int
 	// Trace, when non-nil, receives one event per cycle after delivery and
-	// computation. Intended for debugging and the dcspsolve -v flag.
+	// computation. It carries discsp.Options.Trace and the telemetry tee
+	// that writes the stream's cycle events.
 	Trace func(ev CycleEvent)
 	// Causal, when non-nil, records one span per agent activation and
 	// stamps every traced outgoing message with its trace ID (see

@@ -12,8 +12,7 @@ import (
 // SchemaVersion is the telemetry stream schema this package writes and the
 // newest it can read. Streams always open with a meta event carrying the
 // writer's schema so readers can fail with a versioned error instead of a
-// raw decode error (the v1 internal/trace format had no version marker; it
-// is recognized by its "start" first event).
+// raw decode error.
 //
 // Schema 3 added the span event kind (causal tracing, internal/causal);
 // schema-2 streams contain a strict subset of the schema-3 kinds, so this
@@ -194,12 +193,9 @@ func (r *Recorder) Flush() error {
 	return r.w.Flush()
 }
 
-// Stream read errors. Both carry enough context for a CLI to tell the user
-// which binary/stream combination they have.
+// Stream read errors. Each carries enough context for a CLI to tell the
+// user which binary/stream combination they have.
 var (
-	// ErrLegacyTrace marks a v1 internal/trace stream (dcspsolve -trace)
-	// fed to the telemetry reader.
-	ErrLegacyTrace = errors.New("telemetry: schema-1 trace stream (dcspsolve -trace format); read it with the trace reader")
 	// ErrSchemaUnsupported marks a stream whose meta event declares a
 	// schema this binary does not know.
 	ErrSchemaUnsupported = errors.New("telemetry: unsupported stream schema")
@@ -227,14 +223,11 @@ func Kinds() []Kind {
 		KindLink, KindShard, KindSnapshot, KindSpan, KindEnd}
 }
 
-// v1 trace kinds, used to recognize a legacy stream by its first event.
-var legacyKinds = map[string]bool{"start": true, "cycle": true, "end": true}
-
 // Read decodes a telemetry JSONL stream. The first event must be a meta
-// event declaring a schema this binary supports; a stream opening with a
-// v1 trace event returns ErrLegacyTrace (so callers can fall back to the
-// trace reader or tell the user to), and a newer schema returns
-// ErrSchemaUnsupported with the offending version.
+// event declaring a schema this binary supports: a stream opening with any
+// other event returns ErrMalformedStream, and a schema outside
+// [MinSchemaVersion, SchemaVersion] returns ErrSchemaUnsupported with the
+// offending version.
 func Read(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -249,9 +242,6 @@ func Read(r io.Reader) ([]Event, error) {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrMalformedStream, len(events)+1, err)
 		}
 		if len(events) == 0 {
-			if legacyKinds[string(ev.Kind)] {
-				return nil, ErrLegacyTrace
-			}
 			if ev.Kind != KindMeta {
 				return nil, fmt.Errorf("%w: stream does not open with a meta event (got kind %q)", ErrMalformedStream, ev.Kind)
 			}

@@ -107,8 +107,8 @@ func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := Read(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, ErrMalformedStream) && !errors.Is(err, ErrLegacyTrace) &&
-				!errors.Is(err, ErrSchemaUnsupported) && !strings.Contains(err.Error(), "token too long") {
+			if !errors.Is(err, ErrMalformedStream) && !errors.Is(err, ErrSchemaUnsupported) &&
+				!strings.Contains(err.Error(), "token too long") {
 				t.Fatalf("unclassified error: %v", err)
 			}
 			return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -59,14 +60,19 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadRejectsLegacyTrace: the retired v1 cycle-trace layout opens with
+// a start event instead of the schema meta event, so it is malformed.
 func TestReadRejectsLegacyTrace(t *testing.T) {
 	v1 := `{"kind":"start","algorithm":"AWC-rslv","vars":10}
 {"kind":"cycle","cycle":1}
 {"kind":"end","solved":true}
 `
 	_, err := Read(strings.NewReader(v1))
-	if !errors.Is(err, ErrLegacyTrace) {
-		t.Fatalf("want ErrLegacyTrace, got %v", err)
+	if !errors.Is(err, ErrMalformedStream) {
+		t.Fatalf("want ErrMalformedStream, got %v", err)
+	}
+	if !strings.Contains(err.Error(), `got kind "start"`) {
+		t.Fatalf("error does not name the opening kind: %v", err)
 	}
 }
 
@@ -94,6 +100,31 @@ func TestReadRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestReadSkipsBlankLines: blank lines anywhere in a stream are skipped,
+// so a stream padded with them reads as the same events; a stream of
+// nothing but blank lines is empty, hence malformed.
+func TestReadSkipsBlankLines(t *testing.T) {
+	stream := `{"kind":"meta","schema":3,"runtime":"sync"}
+{"kind":"cycle","cycle":1,"messagesIn":2,"maxChecks":7}
+{"kind":"end","solved":true,"cycles":1,"maxcck":7}
+`
+	want, err := Read(strings.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := "\n" + strings.ReplaceAll(stream, "\n", "\n\n\n")
+	got, err := Read(strings.NewReader(padded))
+	if err != nil {
+		t.Fatalf("padded stream: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("padded stream read as %+v, want %+v", got, want)
+	}
+	if _, err := Read(strings.NewReader("\n\n")); !errors.Is(err, ErrMalformedStream) {
+		t.Errorf("blank-only stream: want ErrMalformedStream, got %v", err)
+	}
+}
+
 func TestSummarizeStoreGrowthAndFrontier(t *testing.T) {
 	events := []Event{
 		{Kind: KindMeta, Schema: 2, Runtime: "tcp"},
@@ -117,6 +148,42 @@ func TestSummarizeStoreGrowthAndFrontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"runtime=tcp", "verdict=solved", "first=3 peak=9 last=5"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("Fprint missing %q:\n%s", want, b.String())
+		}
+	}
+	if s.BusiestCycle != 0 || s.PeakMessagesCycle != 0 || strings.Contains(b.String(), "busiest cycle") {
+		t.Errorf("sample-only stream reports cycle peaks: %+v\n%s", s, b.String())
+	}
+}
+
+// TestSummarizeCyclePeaks folds a synchronous stream: the per-cycle peaks
+// come from the cycle events, the busiest cycle need not be the one with
+// the most deliveries, and a tie keeps the earlier cycle.
+func TestSummarizeCyclePeaks(t *testing.T) {
+	events := []Event{
+		{Kind: KindMeta, Schema: SchemaVersion, Runtime: "sync"},
+		{Kind: KindCycle, Cycle: 1, MessagesIn: 3, MessagesOut: 9, MaxChecks: 50, StoreTotal: 4},
+		{Kind: KindCycle, Cycle: 2, MessagesIn: 9, MessagesOut: 9, MaxChecks: 5, StoreTotal: 6},
+		{Kind: KindCycle, Cycle: 3, MessagesIn: 9, MaxChecks: 50, StoreTotal: 6},
+		{Kind: KindEnd, Solved: true, Cycles: 3, MaxCCK: 105, Messages: 21},
+	}
+	s := Summarize(events)
+	if s.BusiestCycle != 1 || s.BusiestCycleChecks != 50 {
+		t.Errorf("busiest cycle = %d (%d checks), want 1 (50)", s.BusiestCycle, s.BusiestCycleChecks)
+	}
+	if s.PeakMessagesCycle != 2 || s.PeakMessages != 9 {
+		t.Errorf("peak deliveries = %d at cycle %d, want 9 at 2", s.PeakMessages, s.PeakMessagesCycle)
+	}
+	if s.StoreObservations != 3 || s.StoreFirst != 4 || s.StorePeak != 6 {
+		t.Errorf("store growth from cycle events: %+v", s)
+	}
+	var b strings.Builder
+	if err := s.Fprint(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"cycles=3 maxcck=105", "messages=21",
+		"peak deliveries: 9 at cycle 2", "busiest cycle: 1 (50 checks)"} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("Fprint missing %q:\n%s", want, b.String())
 		}

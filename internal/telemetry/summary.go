@@ -16,8 +16,9 @@ type AgentSummary struct {
 }
 
 // Summary condenses a telemetry stream: run identity from the meta event,
-// verdict from the end event, per-agent totals from agent events, and
-// nogood-store growth from the cycle/sample timeline.
+// verdict from the end event, per-agent totals from agent events,
+// per-cycle peaks from cycle events, and nogood-store growth from the
+// cycle/sample timeline.
 type Summary struct {
 	Runtime   string
 	Algorithm string
@@ -35,6 +36,15 @@ type Summary struct {
 	Transport   Transport
 
 	Agents []AgentSummary
+
+	// Per-cycle peaks over the cycle events of a synchronous run: the
+	// cycle with the largest per-cycle max checks, and the cycle with the
+	// most deliveries (the first such cycle on ties). Both cycles are 0
+	// when the stream has no cycle events.
+	BusiestCycle       int
+	BusiestCycleChecks int64
+	PeakMessagesCycle  int
+	PeakMessages       int
 
 	// Store growth over the run, from the storeTotal field of cycle (sync)
 	// or sample (async/tcp) events: first observation, peak, and last.
@@ -70,6 +80,12 @@ func Summarize(events []Event) Summary {
 			}
 		case KindCycle:
 			s.observeStore(ev.StoreTotal)
+			if s.BusiestCycle == 0 || ev.MaxChecks > s.BusiestCycleChecks {
+				s.BusiestCycle, s.BusiestCycleChecks = ev.Cycle, ev.MaxChecks
+			}
+			if s.PeakMessagesCycle == 0 || ev.MessagesIn > s.PeakMessages {
+				s.PeakMessagesCycle, s.PeakMessages = ev.Cycle, ev.MessagesIn
+			}
 		case KindSample:
 			s.Samples++
 			s.observeStore(ev.StoreTotal)
@@ -170,6 +186,12 @@ func (s Summary) Fprint(w io.Writer) error {
 	}
 	if s.Trials > 0 {
 		if _, err := fmt.Fprintf(w, "trials=%d solved=%d cells=%d\n", s.Trials, s.TrialsSolved, len(s.Cells)); err != nil {
+			return err
+		}
+	}
+	if s.BusiestCycle > 0 {
+		if _, err := fmt.Fprintf(w, "peak deliveries: %d at cycle %d\nbusiest cycle: %d (%d checks)\n",
+			s.PeakMessages, s.PeakMessagesCycle, s.BusiestCycle, s.BusiestCycleChecks); err != nil {
 			return err
 		}
 	}

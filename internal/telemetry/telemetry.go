@@ -1,7 +1,8 @@
 // Package telemetry is the unified observability layer: a zero-dependency
 // metrics registry (counters, gauges, bounded histograms) plus a structured
-// run-event recorder that generalizes internal/trace beyond the synchronous
-// simulator.
+// run-event recorder, the one record of a run on every runtime: per-cycle
+// events on the synchronous simulator, watchdog samples on the async and
+// TCP runtimes, and causal spans when tracing is on.
 //
 // Two properties are load-bearing and pinned by tests:
 //

@@ -8,7 +8,6 @@ import (
 	"github.com/discsp/discsp"
 	"github.com/discsp/discsp/internal/experiments"
 	"github.com/discsp/discsp/internal/telemetry"
-	"github.com/discsp/discsp/internal/trace"
 )
 
 // hardColoring returns a 3-coloring instance dense enough that AWC actually
@@ -22,28 +21,29 @@ func hardColoring(t *testing.T) *discsp.Problem {
 	return col.Problem
 }
 
-// runSyncWithTrace runs Solve and captures the v1 trace byte stream, the
-// most sensitive observable a synchronous run has: every per-cycle message
-// and check count, byte for byte.
-func runSyncWithTrace(t *testing.T, p *discsp.Problem, opts discsp.Options) (discsp.Result, []byte) {
+// runSyncWithTrace runs Solve and captures every event its Options.Trace
+// hook receives, the most sensitive observable a synchronous run has:
+// every per-cycle message and check count, and the cycle that found the
+// solution.
+func runSyncWithTrace(t *testing.T, p *discsp.Problem, opts discsp.Options) (discsp.Result, []discsp.CycleEvent) {
 	t.Helper()
-	var buf bytes.Buffer
-	rec := trace.NewRecorder(&buf)
-	opts.Trace = rec.Hook()
+	var cycles []discsp.CycleEvent
+	opts.Trace = func(ev discsp.CycleEvent) { cycles = append(cycles, ev) }
 	res, err := discsp.Solve(p, opts)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if err := rec.Flush(); err != nil {
-		t.Fatalf("trace flush: %v", err)
+	if len(cycles) == 0 {
+		t.Fatal("Trace hook saw no cycles")
 	}
-	return res, buf.Bytes()
+	return res, cycles
 }
 
 // TestTelemetryInertSync pins the tentpole's non-negotiable: attaching the
 // full telemetry bundle (registry + event stream) to a synchronous run
-// changes nothing — cycles, maxcck, totals, the assignment, and the exact
-// trace bytes are bit-identical with telemetry on and off, across learners.
+// changes nothing — cycles, maxcck, totals, the assignment, and the cycle
+// events are identical with telemetry on and off, across learners. The
+// stream's own cycle events must carry those same cycle events.
 func TestTelemetryInertSync(t *testing.T) {
 	p := hardColoring(t)
 	learners := []struct {
@@ -88,8 +88,8 @@ func TestTelemetryInertSync(t *testing.T) {
 			if !reflect.DeepEqual(off.MessagesByType, on.MessagesByType) {
 				t.Errorf("message profile changed: off=%v on=%v", off.MessagesByType, on.MessagesByType)
 			}
-			if !bytes.Equal(offTrace, onTrace) {
-				t.Errorf("trace bytes changed with telemetry on (%d vs %d bytes)", len(offTrace), len(onTrace))
+			if !reflect.DeepEqual(offTrace, onTrace) {
+				t.Errorf("cycle events changed with telemetry on (%d vs %d cycles)", len(offTrace), len(onTrace))
 			}
 
 			events, err := telemetry.Read(&stream)
@@ -104,7 +104,81 @@ func TestTelemetryInertSync(t *testing.T) {
 			if len(s.Agents) != p.NumVars() {
 				t.Errorf("stream has %d agent events, want %d", len(s.Agents), p.NumVars())
 			}
+
+			// The stream's cycle events equal the hook's, field for field;
+			// the solution flag rides on the end verdict, which a solved
+			// run reaches on its last cycle.
+			var streamed []discsp.CycleEvent
+			for _, ev := range events {
+				if ev.Kind == telemetry.KindCycle {
+					streamed = append(streamed, discsp.CycleEvent{
+						Cycle:       ev.Cycle,
+						MessagesIn:  ev.MessagesIn,
+						MessagesOut: ev.MessagesOut,
+						MaxChecks:   ev.MaxChecks,
+					})
+				}
+			}
+			if n := len(streamed); n > 0 && s.Solved {
+				streamed[n-1].SolutionFound = true
+			}
+			if !reflect.DeepEqual(streamed, onTrace) {
+				t.Errorf("stream cycle events differ from the Trace hook's:\nstream: %+v\nhook:   %+v", streamed, onTrace)
+			}
+			var delivered int64
+			for _, ev := range streamed {
+				delivered += int64(ev.MessagesIn)
+			}
+			if len(streamed) != on.Cycles || delivered != on.Messages {
+				t.Errorf("stream has %d cycle events delivering %d messages, result has %d cycles and %d messages",
+					len(streamed), delivered, on.Cycles, on.Messages)
+			}
 		})
+	}
+}
+
+// TestTelemetrySummaryOfLiveRun folds a live synchronous run's stream and
+// holds the summary to the run itself: verdict and totals equal the
+// Result, and the busiest and peak-delivery cycles are the maxima over the
+// Trace hook's events, the first such cycle on ties.
+func TestTelemetrySummaryOfLiveRun(t *testing.T) {
+	p := hardColoring(t)
+	var stream bytes.Buffer
+	opts := discsp.Options{Learning: discsp.LearnResolvent, InitialSeed: 11,
+		Telemetry: discsp.NewTelemetry(discsp.NewMetricsRegistry(), &stream)}
+	res, hook := runSyncWithTrace(t, p, opts)
+	if err := opts.Telemetry.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := telemetry.Read(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.CheckComplete(events); err != nil {
+		t.Fatal(err)
+	}
+
+	s := telemetry.Summarize(events)
+	if !s.Solved || s.Cycles != res.Cycles || s.MaxCCK != res.MaxCCK ||
+		s.TotalChecks != res.TotalChecks || s.Messages != res.Messages {
+		t.Errorf("summary %+v does not match result %+v", s, res)
+	}
+	var busiest, peak discsp.CycleEvent
+	for _, ev := range hook {
+		if busiest.Cycle == 0 || ev.MaxChecks > busiest.MaxChecks {
+			busiest = ev
+		}
+		if peak.Cycle == 0 || ev.MessagesIn > peak.MessagesIn {
+			peak = ev
+		}
+	}
+	if s.BusiestCycle != busiest.Cycle || s.BusiestCycleChecks != busiest.MaxChecks {
+		t.Errorf("busiest cycle %d (%d checks), hook says %d (%d)",
+			s.BusiestCycle, s.BusiestCycleChecks, busiest.Cycle, busiest.MaxChecks)
+	}
+	if s.PeakMessagesCycle != peak.Cycle || s.PeakMessages != peak.MessagesIn {
+		t.Errorf("peak deliveries %d at cycle %d, hook says %d at %d",
+			s.PeakMessages, s.PeakMessagesCycle, peak.MessagesIn, peak.Cycle)
 	}
 }
 
