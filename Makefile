@@ -147,14 +147,17 @@ bench-gate:
 			-baseline BENCH_7.json -tolerance 0.5
 
 # The end-to-end benchmark's smoke pass (CI bench-e2e-smoke): the bench/
-# module's own tests, then a short run of each sync workload at the default
-# seed. Every such run checks the cycles, maxcck and checks that
-# bench/testdata/golden.json pins, so this is the direct guard that work on
-# the simulator's dispatch never moves the paper's cost model. A run passes
-# only when its last line, the result object, reports "correct":true.
+# module's own tests, then a short run of each sync workload and of async
+# at the default seed. Every sync run checks the cycles, maxcck and checks
+# that bench/testdata/golden.json pins, so this is the direct guard that
+# work on the simulator or the agent step never moves the paper's cost
+# model. The async run verifies every trial's verdict with agents stepping
+# concurrently, which holds the runtimes to Step's output-slice contract. A
+# run passes only when its last line, the result object, reports
+# "correct":true.
 bench-e2e-smoke:
 	cd bench && $(GO) test .
-	for w in sync-learn sync-nolearn; do \
+	for w in sync-learn sync-nolearn async; do \
 		bash bench/run.sh -workload $$w -seed 1 -seconds 2 -trace 0 > bench-e2e-$$w.txt; \
 		cat bench-e2e-$$w.txt; \
 		tail -n 1 bench-e2e-$$w.txt | grep -q '"correct":true' || exit 1; \

@@ -88,6 +88,42 @@ func TestSolveInsolubleReported(t *testing.T) {
 	}
 }
 
+// TestWipedDomainInsolubleOnEveryRuntime: x0's unary constraints forbid
+// both of its values, so its Init alone proves insolubility, while the
+// unrelated pair x1≠x2 keeps other agents busy. x0 has no neighbour and
+// never steps, so every runtime must look for insolubility after Init,
+// not only after steps, and report Insoluble rather than Quiescent.
+func TestWipedDomainInsolubleOnEveryRuntime(t *testing.T) {
+	p := discsp.NewProblemUniform(3, 2)
+	for val := discsp.Value(0); val < 2; val++ {
+		if err := p.AddNogood(discsp.MustNogood(discsp.Lit{Var: 0, Val: val})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.AddNotEqual(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	runtimes := []struct {
+		name  string
+		solve func(*discsp.Problem, discsp.Options) (discsp.Result, error)
+	}{
+		{"sync", discsp.Solve},
+		{"async", discsp.SolveAsync},
+		{"tcp", discsp.SolveTCP},
+	}
+	for _, rt := range runtimes {
+		t.Run(rt.name, func(t *testing.T) {
+			res, err := rt.solve(p, discsp.Options{InitialSeed: 1})
+			if err != nil {
+				t.Fatalf("solve: %v", err)
+			}
+			if !res.Insoluble || res.Solved {
+				t.Fatalf("wiped domain on %s: %+v, want Insoluble", rt.name, res)
+			}
+		})
+	}
+}
+
 func TestSolveInitialValidation(t *testing.T) {
 	p := chain(t, 4, 3)
 	_, err := discsp.Solve(p, discsp.Options{Initial: discsp.SliceAssignment{0, 1}})

@@ -264,6 +264,11 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		out := a.Init()
 		stampBatch(at, out)
 		at.End()
+		// Init alone can prove insolubility (a domain wiped out by unary
+		// constraints), and no later step of that agent may report it.
+		if r, isReporter := a.(sim.InsolubleReporter); isReporter && r.Insoluble() {
+			rt.insoluble.Store(true)
+		}
 		rt.route(out)
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/discsp/discsp/internal/causal"
@@ -40,12 +41,18 @@ type Stats struct {
 // dense: values live in a csp.DenseView indexed by variable (with the own
 // variable's slot doubling as the probe value during evaluation), priorities
 // in a parallel slice, and every stored nogood's higher/lower classification
-// is cached and only recomputed when a priority or the store changes. The
+// is cached by store position. The cache is kept incrementally: only the
+// nogoods mentioning a variable whose outranks-the-owner relation flipped
+// are reclassified, and appended nogoods are classified once. The
 // map-backed representation of the paper-faithful first implementation is
 // kept verbatim behind Learning.Reference as a verification oracle (see
 // refpath.go); both representations charge bit-identical nogood checks and
 // make bit-identical decisions, which the cross-representation equivalence
 // tests enforce.
+//
+// Init and Step return slices of one buffer the agent owns and clears at
+// its next Init or Step call, so a steady-state step allocates only the
+// messages it sends.
 type Agent struct {
 	id       csp.Var
 	domain   []csp.Value
@@ -62,18 +69,19 @@ type Agent struct {
 	prios  []int          // prios[v] = last announced priority of v (0 unknown)
 	links  []csp.Var      // sorted ok? broadcast targets
 	linked []bool         // membership mirror of links
-	// higher caches each stored nogood's higher/lower classification, by
-	// store position. Rank depends only on priorities (not values), so the
-	// cache stays valid until a view priority, the own priority, or the
-	// store itself changes. Store changes are detected by generation, not
-	// length: under a bounded retention policy an evict+insert pair leaves
-	// the length unchanged while shifting positions.
-	higher      []bool
-	higherValid bool
-	higherGen   int64
-	mcsView     *csp.DenseView // scratch assignment for conflict-set tests
-	litScratch  []csp.Lit      // scratch for resolvent assembly
-	subScratch  []csp.Lit      // scratch for mcs subset candidates
+	// higher caches each stored nogood's higher/lower classification by
+	// store position (see ensureHigher). Rank depends only on priorities,
+	// so an entry goes stale only when one of its variables flips between
+	// outranking the owner and not; observe queues such variables in
+	// flipped. higherValid false (an own-priority change, SeedNogoods,
+	// Restore) and a changed store shift counter force a full rebuild.
+	higher       []bool
+	higherValid  bool
+	higherShifts int64
+	flipped      []csp.Var
+	mcsView      *csp.DenseView // scratch assignment for conflict-set tests
+	litScratch   []csp.Lit      // scratch for resolvent assembly
+	subScratch   []csp.Lit      // scratch for mcs subset candidates
 
 	// Reference representation (Learning.Reference).
 	view     map[csp.Var]viewEntry
@@ -94,6 +102,10 @@ type Agent struct {
 	// scratch reused across check_agent_view invocations.
 	violatedHigher [][]csp.Nogood
 	lowerViol      []int
+
+	// out is the buffer Init and Step append their messages to and
+	// return; each call clears it first.
+	out []sim.Message
 
 	// seedRequests are the non-neighbor variables mentioned by warm-start
 	// nogoods (SeedNogoods); Init asks each for its current value instead
@@ -271,31 +283,41 @@ func (a *Agent) isNeighbor(v csp.Var) bool {
 	return a.linked[v]
 }
 
-// seedRequestMsgs emits one Request per warm-start variable (see
-// SeedNogoods), in ascending order.
-func (a *Agent) seedRequestMsgs() []sim.Message {
-	if len(a.seedRequests) == 0 {
-		return nil
-	}
-	msgs := make([]sim.Message, 0, len(a.seedRequests))
-	for _, v := range a.seedRequests {
-		msgs = append(msgs, Request{Sender: a.ID(), Receiver: sim.AgentID(v)})
-	}
-	return msgs
-}
-
 // Init implements sim.Agent: repair unary-constraint violations of the
 // initial value (with an empty agent_view only unary nogoods can fire, and
 // those are always "higher"), then announce the value to all neighbors. A
 // variable whose unary constraints wipe out its whole domain derives the
-// empty resolvent here, immediately proving insolubility. Warm-start value
-// requests (SeedNogoods) ride along in front.
+// empty resolvent here, immediately proving insolubility; it then has no
+// value to announce and sends nothing. Warm-start value requests
+// (SeedNogoods, one per variable in ascending order) ride along in front.
 func (a *Agent) Init() []sim.Message {
-	msgs := a.seedRequestMsgs()
-	if acted, more := a.checkAgentView(); acted {
-		return append(msgs, more...)
+	a.resetOut()
+	for _, v := range a.seedRequests {
+		a.out = append(a.out, Request{Sender: a.ID(), Receiver: sim.AgentID(v)})
 	}
-	return a.broadcastOk(msgs)
+	acted := a.checkAgentView()
+	if a.insoluble {
+		return nil
+	}
+	if !acted {
+		a.broadcastOk()
+	}
+	return a.output()
+}
+
+// resetOut clears the output buffer for a new Init or Step call, leaving
+// no message of the previous call reachable from it.
+func (a *Agent) resetOut() {
+	clear(a.out)
+	a.out = a.out[:0]
+}
+
+// output returns the output buffer, or nil when the call sends nothing.
+func (a *Agent) output() []sim.Message {
+	if len(a.out) == 0 {
+		return nil
+	}
+	return a.out
 }
 
 // Reannounce implements sim.Reannouncer: restate the current value and
@@ -315,18 +337,15 @@ func (a *Agent) Reannounce(peer sim.AgentID) []sim.Message {
 }
 
 // Step implements sim.Agent: absorb the cycle's messages, then run
-// check_agent_view once and emit the resulting messages.
+// check_agent_view once and emit the resulting messages. An empty batch
+// changes nothing and sends nothing.
 func (a *Agent) Step(in []sim.Message) []sim.Message {
-	if a.insoluble {
+	if a.insoluble || len(in) == 0 {
 		return nil
 	}
-	var (
-		out        []sim.Message
-		mustAnswer []csp.Var // fresh requesters needing an ok? reply
-		sawTraffic bool
-	)
+	a.resetOut()
+	var mustAnswer []csp.Var // fresh requesters needing an ok? reply
 	for _, m := range in {
-		sawTraffic = true
 		switch msg := m.(type) {
 		case Ok:
 			a.observe(csp.Var(msg.Sender), msg.Value, msg.Priority)
@@ -337,21 +356,16 @@ func (a *Agent) Step(in []sim.Message) []sim.Message {
 			a.addLink(v)
 			mustAnswer = append(mustAnswer, v)
 		case NogoodMsg:
-			out = append(out, a.receiveNogood(msg)...)
+			a.receiveNogood(msg)
 		default:
 			panic(fmt.Sprintf("core: unexpected message type %T", m))
 		}
 	}
-	if !sawTraffic {
-		return nil
-	}
-	acted, actOut := a.checkAgentView()
-	out = append(out, actOut...)
-	if !acted {
+	if !a.checkAgentView() {
 		// The agent's state did not change, but fresh requesters still
 		// need to learn the current value.
 		for _, v := range mustAnswer {
-			out = append(out, Ok{
+			a.out = append(a.out, Ok{
 				Sender:   a.ID(),
 				Receiver: sim.AgentID(v),
 				Value:    a.value,
@@ -359,18 +373,23 @@ func (a *Agent) Step(in []sim.Message) []sim.Message {
 			})
 		}
 	}
-	return out
+	return a.output()
 }
 
-// observe records an ok? announcement in the agent_view.
+// observe records an ok? announcement in the agent_view. A priority change
+// that flips whether v outranks the owner queues v for ensureHigher; any
+// other priority change leaves every cached classification as it was.
 func (a *Agent) observe(v csp.Var, val csp.Value, prio int) {
 	if a.learning.Reference {
 		a.view[v] = viewEntry{val: val, prio: prio}
 		return
 	}
 	if a.prios[v] != prio {
+		was := a.outranksOwner(v)
 		a.prios[v] = prio
-		a.higherValid = false
+		if a.higherValid && a.outranksOwner(v) != was {
+			a.flipped = append(a.flipped, v)
+		}
 	}
 	a.dv.Assign(v, val)
 }
@@ -413,10 +432,11 @@ func (a *Agent) addLink(v csp.Var) {
 
 // receiveNogood implements the nogood-message handler of Section 2.2:
 // record the nogood (subject to the learning configuration's recording
-// rules), and request values for unknown variables.
-func (a *Agent) receiveNogood(msg NogoodMsg) []sim.Message {
+// rules), and request values for unknown variables. The store's shift
+// counter tells ensureHigher whether the insert moved positions (a prune
+// or an eviction); a plain append only extends the classification cache.
+func (a *Agent) receiveNogood(msg NogoodMsg) {
 	ng := msg.Nogood
-	var out []sim.Message
 	for i := 0; i < ng.Len(); i++ {
 		l := ng.At(i)
 		if l.Var == a.id {
@@ -426,7 +446,7 @@ func (a *Agent) receiveNogood(msg NogoodMsg) []sim.Message {
 			// Adopt the value asserted by the nogood (it was true at the
 			// sender's view) and ask the owner to keep us posted.
 			a.adopt(l.Var, l.Val)
-			out = append(out, Request{Sender: a.ID(), Receiver: sim.AgentID(l.Var)})
+			a.out = append(a.out, Request{Sender: a.ID(), Receiver: sim.AgentID(l.Var)})
 		}
 	}
 	if a.learning.shouldRecord(ng) {
@@ -436,17 +456,12 @@ func (a *Agent) receiveNogood(msg NogoodMsg) []sim.Message {
 				a.stats.NogoodsRecorded++
 				a.causalT.Store(ng, msg.TID)
 			}
-			if added || removed > 0 {
-				a.higherValid = false
-			}
 			a.stats.NogoodsPruned += int64(removed)
 		} else if a.store.Add(ng) {
 			a.stats.NogoodsRecorded++
-			a.higherValid = false
 			a.causalT.Store(ng, msg.TID)
 		}
 	}
-	return out
 }
 
 // rank is a variable's total-order priority: larger priority value wins,
@@ -504,7 +519,8 @@ func (a *Agent) nogoodRank(ng csp.Nogood) (rank, bool) {
 }
 
 // isHigher reports whether ng is a higher nogood for this agent: its
-// priority exceeds the owner variable's priority.
+// priority exceeds the owner variable's priority. The reference path
+// classifies with it; the dense path's cache uses higherDense.
 func (a *Agent) isHigher(ng csp.Nogood) bool {
 	ngRank, ok := a.nogoodRank(ng)
 	if !ok {
@@ -513,36 +529,63 @@ func (a *Agent) isHigher(ng csp.Nogood) bool {
 	return ngRank.outranks(rank{p: a.priority, v: a.id})
 }
 
-// ensureHigher refreshes the per-nogood higher/lower classification cache.
+// outranksOwner reports whether variable v, not the owner's, outranks the
+// owner under the dense view's priorities.
+func (a *Agent) outranksOwner(v csp.Var) bool {
+	return rank{p: a.prios[v], v: v}.outranks(rank{p: a.priority, v: a.id})
+}
+
+// higherDense is isHigher for the dense representation: the lowest-ranked
+// other variable outranks the owner exactly when every other variable
+// does, so it stops at the first one that does not.
+func (a *Agent) higherDense(ng csp.Nogood) bool {
+	for i := 0; i < ng.Len(); i++ {
+		if v := ng.At(i).Var; v != a.id && !a.outranksOwner(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// ensureHigher brings the per-nogood higher/lower classification cache up
+// to date: a full rebuild when the own priority changed or store positions
+// moved, otherwise a reclassification of the nogoods mentioning a flipped
+// variable; then it classifies the entries appended since the last call.
 // Dense representation only.
 func (a *Agent) ensureHigher() {
 	all := a.store.All()
-	if a.higherValid && a.higherGen == a.store.Gen() {
-		return
-	}
-	if cap(a.higher) < len(all) {
-		a.higher = make([]bool, len(all))
+	if !a.higherValid || a.higherShifts != a.store.Shifts() {
+		a.higher = slices.Grow(a.higher[:0], len(all))
+		a.higherValid = true
+		a.higherShifts = a.store.Shifts()
 	} else {
-		a.higher = a.higher[:len(all)]
+		for _, v := range a.flipped {
+			for _, pos := range a.store.PostingList(v) {
+				if pos >= len(a.higher) {
+					break // appended since the last call: classified below
+				}
+				a.higher[pos] = a.higherDense(all[pos])
+			}
+		}
 	}
-	for i, ng := range all {
-		a.higher[i] = a.isHigher(ng)
+	a.flipped = a.flipped[:0]
+	for _, ng := range all[len(a.higher):] {
+		a.higher = append(a.higher, a.higherDense(ng))
 	}
-	a.higherValid = true
-	a.higherGen = a.store.Gen()
 }
 
-// checkAgentView is the heart of AWC (Section 2.2). It returns whether the
-// agent acted (changed value and/or priority) and the messages to send.
-func (a *Agent) checkAgentView() (bool, []sim.Message) {
+// checkAgentView is the heart of AWC (Section 2.2). It appends the messages
+// to send to the output buffer and returns whether the agent acted (changed
+// value and/or priority).
+func (a *Agent) checkAgentView() bool {
 	// Fast path: is the current value consistent with all higher nogoods?
 	// Scans until the first violated higher nogood, charging one check per
 	// evaluated nogood.
 	if a.consistent() {
-		return false, nil
+		return false
 	}
 
-	// Full evaluation: one pass per domain value over the whole store,
+	// Full evaluation: every stored nogood against every domain value,
 	// classifying each nogood as higher or lower and recording violations.
 	a.classifyViolations()
 
@@ -553,12 +596,12 @@ func (a *Agent) checkAgentView() (bool, []sim.Message) {
 		func(i int) int { return a.lowerViol[i] })
 	if bestIdx >= 0 {
 		a.setValue(a.domain[bestIdx])
-		return true, a.broadcastOk(nil)
+		a.broadcastOk()
+		return true
 	}
 
 	// Deadend: every value violates some higher nogood.
 	a.stats.Deadends++
-	var ngMsgs []sim.Message
 	if a.learning.Kind != LearnNone {
 		learned := a.deriveNogood()
 		// Generation statistics count every derivation — Table 4 measures
@@ -574,7 +617,7 @@ func (a *Agent) checkAgentView() (bool, []sim.Message) {
 		if a.lastLearned != nil && learned.Equal(*a.lastLearned) {
 			// Required for completeness (Section 2.2): regenerating the
 			// same nogood means nothing new was learned; do nothing.
-			return false, nil
+			return false
 		}
 		cp := learned
 		a.lastLearned = &cp
@@ -584,10 +627,10 @@ func (a *Agent) checkAgentView() (bool, []sim.Message) {
 		a.causalT.Learn(learned)
 		if learned.Empty() {
 			a.insoluble = true
-			return false, nil
+			return false
 		}
 		for i := 0; i < learned.Len(); i++ {
-			ngMsgs = append(ngMsgs, NogoodMsg{
+			a.out = append(a.out, NogoodMsg{
 				Sender:   a.ID(),
 				Receiver: sim.AgentID(learned.At(i).Var),
 				Nogood:   learned,
@@ -605,7 +648,8 @@ func (a *Agent) checkAgentView() (bool, []sim.Message) {
 		func(int) bool { return true },
 		func(i int) int { return len(a.violatedHigher[i]) + a.lowerViol[i] })
 	a.setValue(a.domain[bestIdx])
-	return true, a.broadcastOk(ngMsgs)
+	a.broadcastOk()
+	return true
 }
 
 // setValue moves the own variable, keeping the dense view's probe slot in
@@ -661,8 +705,12 @@ func (a *Agent) consistent() bool {
 	return true
 }
 
-// classifyViolations fills violatedHigher/lowerViol with one full pass per
-// domain value over the whole store, charging one check per evaluation.
+// classifyViolations fills violatedHigher/lowerViol for every domain value
+// and charges one check per stored nogood and domain value, the cost of
+// evaluating each nogood once per value. The dense path evaluates each
+// nogood once: one without the owner's variable is violated at every value
+// or at none, and one with it can be violated only at the value it names.
+// Bumps and the order of violatedHigher entries match the per-value scan.
 func (a *Agent) classifyViolations() {
 	for i := range a.domain {
 		a.violatedHigher[i] = a.violatedHigher[i][:0]
@@ -674,36 +722,46 @@ func (a *Agent) classifyViolations() {
 	}
 	a.ensureHigher()
 	dv := a.dv
-	for i, ng := range a.store.All() {
+	all := a.store.All()
+	a.counter.Add(len(all) * len(a.domain))
+	for i, ng := range all {
+		first, end := 0, len(a.domain) // the values ng can be violated at
+		if val, mentions := ng.ValueOf(a.id); mentions {
+			if first = slices.Index(a.domain, val); first < 0 {
+				continue // a value outside the domain is never taken
+			}
+			end = first + 1
+			dv.Assign(a.id, val)
+		}
+		if !ng.ViolatedDense(dv) {
+			continue
+		}
 		higher := a.higher[i]
-		for j, d := range a.domain {
-			dv.Assign(a.id, d)
-			if nogood.CheckDense(ng, dv, &a.counter) {
-				a.store.Bump(i)
-				if higher {
-					a.violatedHigher[j] = append(a.violatedHigher[j], ng)
-				} else {
-					a.lowerViol[j]++
-				}
+		for j := first; j < end; j++ {
+			a.store.Bump(i)
+			if higher {
+				a.violatedHigher[j] = append(a.violatedHigher[j], ng)
+			} else {
+				a.lowerViol[j]++
 			}
 		}
 	}
 	dv.Assign(a.id, a.value) // restore the probe slot
 }
 
-// broadcastOk appends an ok? message for every outgoing link to msgs,
-// in deterministic (ascending id) order.
-func (a *Agent) broadcastOk(msgs []sim.Message) []sim.Message {
+// broadcastOk appends an ok? message for every outgoing link to the output
+// buffer, in deterministic (ascending id) order.
+func (a *Agent) broadcastOk() {
 	if a.learning.Reference {
-		return a.broadcastOkRef(msgs)
+		a.out = a.broadcastOkRef(a.out)
+		return
 	}
 	for _, v := range a.links {
-		msgs = append(msgs, Ok{
+		a.out = append(a.out, Ok{
 			Sender:   a.ID(),
 			Receiver: sim.AgentID(v),
 			Value:    a.value,
 			Priority: a.priority,
 		})
 	}
-	return msgs
 }

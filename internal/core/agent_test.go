@@ -116,24 +116,34 @@ func TestAgentDuplicateNogoodSuppressed(t *testing.T) {
 	}
 }
 
+// TestAgentInsolubleOnWipedDomain: unary constraints forbidding every value
+// prove insolubility at Init, and the agent then announces nothing — not
+// even to a neighbour — since no value survives to announce.
 func TestAgentInsolubleOnWipedDomain(t *testing.T) {
-	p := csp.NewProblemUniform(1, 2)
-	for val := csp.Value(0); val < 2; val++ {
-		if err := p.AddNogood(csp.MustNogood(csp.Lit{Var: 0, Val: val})); err != nil {
-			t.Fatal(err)
+	for _, neighbour := range []bool{false, true} {
+		p := csp.NewProblemUniform(2, 2)
+		for val := csp.Value(0); val < 2; val++ {
+			if err := p.AddNogood(csp.MustNogood(csp.Lit{Var: 0, Val: val})); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	a := NewAgent(0, p, 0, Learning{Kind: LearnResolvent})
-	out := a.Init()
-	if !a.Insoluble() {
-		t.Fatalf("agent with wiped domain not insoluble")
-	}
-	if len(out) != 0 {
-		t.Errorf("insoluble agent sent %v", out)
-	}
-	// Further steps stay silent.
-	if got := a.Step([]sim.Message{Ok{Sender: 0, Receiver: 0}}); len(got) != 0 {
-		t.Errorf("insoluble agent stepped: %v", got)
+		if neighbour {
+			if err := p.AddNotEqual(0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a := NewAgent(0, p, 0, Learning{Kind: LearnResolvent})
+		out := a.Init()
+		if !a.Insoluble() {
+			t.Fatalf("neighbour=%v: agent with wiped domain not insoluble", neighbour)
+		}
+		if len(out) != 0 {
+			t.Errorf("neighbour=%v: insoluble agent sent %v from Init", neighbour, out)
+		}
+		// Further steps stay silent.
+		if got := a.Step([]sim.Message{Ok{Sender: 1, Receiver: 0}}); len(got) != 0 {
+			t.Errorf("neighbour=%v: insoluble agent stepped: %v", neighbour, got)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"github.com/discsp/discsp/internal/core"
 	"github.com/discsp/discsp/internal/csp"
 	"github.com/discsp/discsp/internal/gen"
+	"github.com/discsp/discsp/internal/nogood"
 	"github.com/discsp/discsp/internal/sim"
 )
 
@@ -88,6 +89,11 @@ func TestDenseMatchesReference(t *testing.T) {
 		{Kind: core.LearnResolvent, SubsumptionPruning: true},
 		{Kind: core.LearnMCS, MCSRestrictScan: true},
 		{Kind: core.LearnResolvent, TieBreak: core.TieBreakRandom, Seed: 17},
+		// Bounded retention evicts, and pruning removes, stored nogoods:
+		// both shift store positions under the dense classification cache.
+		{Kind: core.LearnResolvent, Retention: nogood.Retention{Kind: nogood.RetainLRU, Cap: 2}},
+		{Kind: core.LearnMCS, Retention: nogood.Retention{Kind: nogood.RetainActivity, Cap: 2}},
+		{Kind: core.LearnResolvent, SubsumptionPruning: true, Retention: nogood.Retention{Kind: nogood.RetainLRU, Cap: 2}},
 	}
 	for _, inst := range equivalenceInstances(t) {
 		for _, l := range learners {

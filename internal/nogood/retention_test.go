@@ -2,6 +2,7 @@ package nogood
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/discsp/discsp/internal/csp"
@@ -320,32 +321,61 @@ func TestAddPruningPinnedTransfer(t *testing.T) {
 	}
 }
 
-// TestGenTracksStructure pins the generation counter agents key their
-// higher-priority caches on: any insert or removal changes Gen, and — the
-// case a length comparison misses — an evict+insert pair that leaves Len
-// unchanged still changes Gen.
-func TestGenTracksStructure(t *testing.T) {
-	s := NewRetention(Retention{Kind: RetainLRU, Cap: 1})
-	g0 := s.Gen()
-	s.Add(csp.MustNogood(lit(0, 1)))
-	g1 := s.Gen()
-	if g1 == g0 {
-		t.Fatal("Add did not advance Gen")
+// TestShiftsTrackPositionMoves pins the shift counter agents key their
+// per-position classification caches on. An append or a duplicate moves no
+// existing position and leaves Shifts unchanged; an evict+insert (the case
+// a length comparison misses), a pruning insert and a restore move
+// positions and change it. After every step the posting lists must list,
+// in ascending order, exactly the positions whose nogood mentions the
+// variable.
+func TestShiftsTrackPositionMoves(t *testing.T) {
+	s := NewRetention(Retention{Kind: RetainLRU, Cap: 2})
+	shifts := s.Shifts()
+	checkPostings := func(what string) {
+		t.Helper()
+		for v := csp.Var(0); v < 6; v++ {
+			var want []int
+			for pos, ng := range s.All() {
+				if ng.Contains(v) {
+					want = append(want, pos)
+				}
+			}
+			if got := s.PostingList(v); !slices.Equal(got, want) {
+				t.Fatalf("after %s: PostingList(%d) = %v, want %v", what, v, got, want)
+			}
+		}
 	}
+	step := func(what string, moved bool) {
+		t.Helper()
+		if got := s.Shifts() != shifts; got != moved {
+			t.Fatalf("%s: Shifts changed = %v, want %v", what, got, moved)
+		}
+		shifts = s.Shifts()
+		checkPostings(what)
+	}
+
+	s.Add(csp.MustNogood(lit(0, 1), lit(1, 1), lit(2, 1)))
+	step("append", false)
+	s.Add(csp.MustNogood(lit(1, 0), lit(3, 0)))
+	step("second append", false)
+	s.Add(csp.MustNogood(lit(1, 0), lit(3, 0)))
+	step("duplicate Add", false)
+	s.AddPinned(csp.MustNogood(lit(2, 1), lit(4, 0)))
+	step("pinned append", false)
+	if added, removed := s.AddPruning(csp.MustNogood(lit(0, 1), lit(2, 1)), nil); !added || removed != 1 {
+		t.Fatalf("AddPruning = (%v, %d), want (true, 1)", added, removed)
+	}
+	step("pruning insert", true)
 	lenBefore := s.Len()
-	s.Add(csp.MustNogood(lit(1, 1))) // evict+insert: length unchanged
-	if s.Len() != lenBefore {
-		t.Fatalf("evict+insert changed Len %d -> %d; test premise broken", lenBefore, s.Len())
+	s.Add(csp.MustNogood(lit(5, 1))) // evict+insert: length unchanged
+	if s.Len() != lenBefore || s.Evictions() != 1 {
+		t.Fatalf("evict+insert: Len %d -> %d, %d evictions; test premise broken", lenBefore, s.Len(), s.Evictions())
 	}
-	if s.Gen() == g1 {
-		t.Fatal("evict+insert left Gen unchanged — stale position caches would survive")
-	}
-	// Duplicates are not structural changes.
-	g2 := s.Gen()
-	s.Add(csp.MustNogood(lit(1, 1)))
-	if s.Gen() != g2 {
-		t.Fatal("duplicate Add advanced Gen")
-	}
+	step("evict+insert", true)
+	s.Restore(s.Snapshot())
+	step("Restore", true)
+	s.RestoreState(s.State())
+	step("RestoreState", true)
 }
 
 // TestEvictionTelemetry pins the PR-5 surfacing: the size gauge tracks the

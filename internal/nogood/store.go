@@ -79,6 +79,11 @@ func CheckDense(ng csp.Nogood, d *csp.DenseView, c *Counter) bool {
 //     ints, so the "map" is a slice grown on demand) to the positions of
 //     the nogoods mentioning it, so superset candidates are found by
 //     scanning one posting list instead of the whole store.
+//
+// Callers that cache derived state by position (the agents' higher/lower
+// classification) read the posting lists through PostingList and detect
+// moved positions through Shifts: an insert appends and leaves every
+// existing position where it was, while a removal or a restore shifts them.
 type Store struct {
 	nogoods []csp.Nogood
 	index   map[string]int
@@ -89,16 +94,13 @@ type Store struct {
 	// pinned entries (initial constraints, never evicted, exempt from the
 	// cap). clock is a logical timestamp advanced on every insert and Bump
 	// — stamps are therefore unique, which is what makes eviction
-	// tie-breaking deterministic at any worker count. gen increments on
-	// every structural change (insert or removal) so callers caching
-	// per-position derived state (the agents' higher-priority bitmaps)
-	// can detect staleness; a bare length comparison cannot, because an
-	// evict+insert pair leaves the length unchanged.
+	// tie-breaking deterministic at any worker count. shifts counts the
+	// removals and resets that may move positions (see Shifts).
 	ret       Retention
 	meta      []entryMeta
 	pinnedLen int
 	clock     int64
-	gen       int64
+	shifts    int64
 	evicted   int64
 
 	// Telemetry hooks, attached by Instrument. All are nil in the
@@ -168,10 +170,13 @@ func NewFromSliceRetention(ngs []csp.Nogood, ret Retention) *Store {
 // Retention returns the store's retention policy.
 func (s *Store) Retention() Retention { return s.ret }
 
-// Gen returns the structural generation: it changes whenever the mapping
-// from positions to nogoods may have changed (any insert or removal).
-// Callers holding per-position caches compare generations, not lengths.
-func (s *Store) Gen() int64 { return s.gen }
+// Shifts returns the shift counter: it changes whenever an existing
+// position may have come to hold a different nogood (a prune, an eviction,
+// Restore or RestoreState) and stays put on an append, which adds a
+// position without moving any. Callers holding per-position caches compare
+// shift counters, not lengths: an evict+insert pair leaves the length
+// unchanged while moving positions.
+func (s *Store) Shifts() int64 { return s.shifts }
 
 // LearnedLen returns the number of unpinned (learned) entries — the
 // population the retention cap bounds.
@@ -212,7 +217,6 @@ func (s *Store) insert(ng csp.Nogood, m entryMeta) {
 		s.bySize = append(s.bySize, nil)
 	}
 	s.bySize[size] = append(s.bySize[size], pos)
-	s.gen++
 	s.sizeGauge.Set(int64(len(s.nogoods)))
 	s.lenHist.Observe(int64(ng.Len()))
 }
@@ -406,7 +410,7 @@ func (s *Store) reset(sizeHint int) {
 	for i := range s.bySize {
 		s.bySize[i] = s.bySize[i][:0]
 	}
-	s.gen++
+	s.shifts++
 }
 
 // State is the store's complete checkpointable state: the nogoods plus the
@@ -566,18 +570,20 @@ func (s *Store) anyLongerThan(n int) bool {
 // shortestPostingList returns the positions of the nogoods mentioning the
 // variable of ng with the fewest occurrences. ng must be non-empty.
 func (s *Store) shortestPostingList(ng csp.Nogood) []int {
-	best := s.postingList(ng.At(0).Var)
+	best := s.PostingList(ng.At(0).Var)
 	for i := 1; i < ng.Len(); i++ {
-		if list := s.postingList(ng.At(i).Var); len(list) < len(best) {
+		if list := s.PostingList(ng.At(i).Var); len(list) < len(best) {
 			best = list
 		}
 	}
 	return best
 }
 
-// postingList returns the positions of the nogoods mentioning v; the slice
-// is grown lazily, so a never-seen variable has an empty list.
-func (s *Store) postingList(v csp.Var) []int {
+// PostingList returns the positions of the nogoods mentioning v, in
+// ascending order; a never-seen variable has an empty list. The slice is
+// the store's own index: callers must treat it as read-only and must not
+// keep it across a mutation.
+func (s *Store) PostingList(v csp.Var) []int {
 	if int(v) >= len(s.byVar) {
 		return nil
 	}
@@ -610,7 +616,7 @@ func (s *Store) removeAt(doomed []int) {
 	s.nogoods = kept
 	s.meta = keptMeta
 	s.repairStructural(doomed)
-	s.gen++
+	s.shifts++
 	s.sizeGauge.Set(int64(len(s.nogoods)))
 }
 

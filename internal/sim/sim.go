@@ -50,13 +50,16 @@ type Agent interface {
 	ID() AgentID
 	// Init performs the agent's startup step (initial value selection) and
 	// returns its first outgoing messages. Called once, before cycle 1.
+	// The returned slice follows Step's contract.
 	Init() []Message
 	// Step processes the batch of messages delivered this cycle and returns
 	// outgoing messages. The batch is sorted by (sender, arrival order) and
 	// may be empty for agents that received nothing. in is valid only for
 	// the duration of the call: the simulator reuses its backing array for
 	// later deliveries, so an implementation that keeps messages past the
-	// call must copy them out.
+	// call must copy them out. Likewise, the returned slice is valid until
+	// the agent's next Init or Step call, which may reuse its backing
+	// array, so a caller must copy the messages out before that call.
 	Step(in []Message) []Message
 	// CurrentValue returns the agent's current variable value, for the
 	// simulator's out-of-band solution check.
