@@ -54,18 +54,19 @@ fmt-check:
 race:
 	$(GO) test -race -timeout 20m $(RACE_PKGS)
 
-# The recovery-path tests whose flakes were classified and fixed, rerun
-# many times (and again under the race detector) so a timing-dependent
-# assertion fails here instead of passing once by luck: the resumed-grid
-# determinism check, the three crash-restart tests, the two corrupt-frame
-# tests, and the three tests that sever or blackhole worker links through
-# a proxy. Flakes not yet classified stay out until they are fixed:
-# TestNetrunCrashRestartABTInsoluble and TestChaosCrashPointSweep.
-FLAKE_TESTS = ^(TestResumeCellDeterminism|TestNetrunCrashRestartAWC|TestShardCodecMatrixCrashRestart|TestCausalSurvivesCrashRestart|TestCorruptFramesRecoveredByCRC|TestCorruptWithoutChecksumDegradesToDrop|TestWorkerReconnectAfterSever|TestCausalSurvivesColdReconnect|TestDeadPeerDetection)$$
+# The tests whose flakes were classified and fixed, rerun many times (and
+# again under the race detector) so a timing-dependent assertion fails here
+# instead of passing once by luck: the resumed-grid determinism check, the
+# three crash-restart tests, the two corrupt-frame tests, the three tests
+# that sever or blackhole worker links through a proxy, and the daemon's
+# submit-to-verdict lifecycle. Flakes not yet classified stay out until
+# they are fixed: TestNetrunCrashRestartABTInsoluble and
+# TestChaosCrashPointSweep.
+FLAKE_TESTS = ^(TestResumeCellDeterminism|TestNetrunCrashRestartAWC|TestShardCodecMatrixCrashRestart|TestCausalSurvivesCrashRestart|TestCorruptFramesRecoveredByCRC|TestCorruptWithoutChecksumDegradesToDrop|TestWorkerReconnectAfterSever|TestCausalSurvivesColdReconnect|TestDeadPeerDetection|TestSubmitSolveLifecycle)$$
 
 flake-check:
-	$(GO) test -count=50 -timeout 20m -run '$(FLAKE_TESTS)' ./internal/experiments/ ./internal/netrun/
-	$(GO) test -race -count=10 -timeout 20m -run '$(FLAKE_TESTS)' ./internal/experiments/ ./internal/netrun/
+	$(GO) test -count=50 -timeout 20m -run '$(FLAKE_TESTS)' ./internal/experiments/ ./internal/netrun/ ./internal/service/
+	$(GO) test -race -count=10 -timeout 20m -run '$(FLAKE_TESTS)' ./internal/experiments/ ./internal/netrun/ ./internal/service/
 
 # The fault-injection suite under the race detector: reliable transport,
 # crash-restart recovery, and the chaos acceptance matrix (every algorithm

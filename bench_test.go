@@ -448,10 +448,10 @@ func BenchmarkResolventDerivation(b *testing.B) {
 		}
 	}
 	in := []sim.Message{
-		core.Ok{Sender: 0, Receiver: 4, Value: 0, Priority: 5},
-		core.Ok{Sender: 1, Receiver: 4, Value: 1, Priority: 3},
-		core.Ok{Sender: 2, Receiver: 4, Value: 2, Priority: 4},
-		core.Ok{Sender: 3, Receiver: 4, Value: 0, Priority: 2},
+		&core.Ok{Sender: 0, Receiver: 4, Value: 0, Priority: 5},
+		&core.Ok{Sender: 1, Receiver: 4, Value: 1, Priority: 3},
+		&core.Ok{Sender: 2, Receiver: 4, Value: 2, Priority: 4},
+		&core.Ok{Sender: 3, Receiver: 4, Value: 0, Priority: 2},
 	}
 	for _, repr := range []struct {
 		name string

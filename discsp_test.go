@@ -292,3 +292,38 @@ func TestSolveTCP(t *testing.T) {
 		t.Fatalf("assignment invalid")
 	}
 }
+
+// TestMessagesByTypeNamesAWCKinds pins the delivery profile's keys on a
+// seeded sync AWC+Rslv solve: the ok? and nogood kinds appear under their
+// package-qualified names, whatever representation they travel in, no
+// other key appears, and the kinds sum to the delivered total.
+func TestMessagesByTypeNamesAWCKinds(t *testing.T) {
+	inst, err := discsp.GenerateColoring(30, 81, 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := discsp.Solve(inst.Problem, discsp.Options{Learning: discsp.LearnResolvent, InitialSeed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Solved {
+		t.Fatalf("not solved: %+v", res)
+	}
+	for _, kind := range []string{"core.Ok", "core.NogoodMsg"} {
+		if res.MessagesByType[kind] == 0 {
+			t.Errorf("MessagesByType = %v, want %s deliveries", res.MessagesByType, kind)
+		}
+	}
+	var sum int64
+	for kind, n := range res.MessagesByType {
+		switch kind {
+		case "core.Ok", "core.NogoodMsg", "core.Request":
+		default:
+			t.Errorf("MessagesByType has unexpected kind %q", kind)
+		}
+		sum += int64(n)
+	}
+	if sum != res.Messages {
+		t.Errorf("MessagesByType sums to %d, want Messages = %d", sum, res.Messages)
+	}
+}

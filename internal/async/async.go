@@ -778,12 +778,14 @@ func (rt *runtime) monitor(timeout, poll, cadence time.Duration) (Result, error)
 			te := &TimeoutError{
 				Timeout:   timeout,
 				InFlight:  rt.inFlight.Load(),
-				Delivered: rt.delivered.Load(),
 				Processed: make([]int64, len(rt.processed)),
 				Report:    wd.Report(now),
 			}
+			// Agents are still stepping, so Delivered is summed from the
+			// same per-agent reads rather than loaded at another instant.
 			for i := range rt.processed {
 				te.Processed[i] = rt.processed[i].Load()
+				te.Delivered += te.Processed[i]
 			}
 			return Result{}, te
 		}
@@ -801,9 +803,13 @@ func (rt *runtime) snapshot() csp.SliceAssignment {
 
 // mailbox is an unbounded MPSC queue with blocking take.
 type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []sim.Message
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []sim.Message
+	// spare is the batch the last take returned. The next take clears it
+	// and makes it the queue, so steady-state puts append into a recycled
+	// array instead of growing a fresh one.
+	spare  []sim.Message
 	closed bool
 }
 
@@ -832,7 +838,10 @@ func (mb *mailbox) put(m sim.Message) {
 }
 
 // take blocks until at least one message is available (returning the whole
-// queue as a batch) or the mailbox closes (returning ok=false).
+// queue as a batch) or the mailbox closes (returning ok=false). A batch is
+// valid until the next take, which clears it and reuses its array for later
+// puts; Step may not keep its input, so agentLoop is done with a batch by
+// then.
 func (mb *mailbox) take() ([]sim.Message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -842,9 +851,9 @@ func (mb *mailbox) take() ([]sim.Message, bool) {
 	if len(mb.queue) == 0 {
 		return nil, false
 	}
-	batch := mb.queue
-	mb.queue = nil
-	return batch, true
+	clear(mb.spare)
+	mb.queue, mb.spare = mb.spare[:0], mb.queue
+	return mb.spare, true
 }
 
 func (mb *mailbox) close() {

@@ -154,13 +154,46 @@ func TestAsyncTimeout(t *testing.T) {
 
 func TestMailbox(t *testing.T) {
 	mb := newMailbox()
-	type m struct{ sim.Message }
+	type m struct {
+		sim.Message
+		id int
+	}
 	mb.put(m{})
 	mb.put(m{})
 	batch, ok := mb.take()
 	if !ok || len(batch) != 2 {
 		t.Fatalf("take = %d msgs, ok=%v", len(batch), ok)
 	}
+
+	// The next take recycles batch: it is cleared and becomes the queue, so
+	// later puts land in its backing array.
+	var msg sim.Message = m{id: 1}
+	mb.put(msg)
+	if next, _ := mb.take(); len(next) != 1 {
+		t.Fatalf("second take = %d msgs, want 1", len(next))
+	}
+	mb.put(msg)
+	if batch[0] != msg || batch[1] != nil {
+		t.Errorf("after a recycling take and one put, the old batch holds %v, want [put message, cleared]", batch)
+	}
+	if again, _ := mb.take(); &again[0] != &batch[0] {
+		t.Errorf("put after a take did not land in the previous batch's array")
+	}
+	// A warmed cycle of puts and one take allocates nothing.
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			mb.put(msg)
+		}
+		if got, _ := mb.take(); len(got) != 8 {
+			t.Fatalf("take = %d msgs, want 8", len(got))
+		}
+	}
+	cycle()
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warmed put/take cycle allocated %v times, want 0", allocs)
+	}
+
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

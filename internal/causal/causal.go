@@ -101,8 +101,8 @@ const (
 )
 
 // Traced is implemented by message types that can carry a trace ID. The
-// With method returns a copy with the ID set (messages are values), typed
-// any so algorithm packages need no runtime import.
+// With method returns a copy with the ID set (messages are immutable once
+// sent), typed any so algorithm packages need no runtime import.
 type Traced interface {
 	CausalID() ID
 	WithCausalID(ID) any

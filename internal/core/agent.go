@@ -52,7 +52,7 @@ type Stats struct {
 //
 // Init and Step return slices of one buffer the agent owns and clears at
 // its next Init or Step call, so a steady-state step allocates only the
-// messages it sends.
+// backing array of its ok? broadcast.
 type Agent struct {
 	id       csp.Var
 	domain   []csp.Value
@@ -328,12 +328,8 @@ func (a *Agent) Reannounce(peer sim.AgentID) []sim.Message {
 	if !a.isNeighbor(csp.Var(peer)) {
 		return nil
 	}
-	return []sim.Message{Ok{
-		Sender:   a.ID(),
-		Receiver: peer,
-		Value:    a.value,
-		Priority: a.priority,
-	}}
+	ok := a.okTo(csp.Var(peer))
+	return []sim.Message{&ok}
 }
 
 // Step implements sim.Agent: absorb the cycle's messages, then run
@@ -347,7 +343,7 @@ func (a *Agent) Step(in []sim.Message) []sim.Message {
 	var mustAnswer []csp.Var // fresh requesters needing an ok? reply
 	for _, m := range in {
 		switch msg := m.(type) {
-		case Ok:
+		case *Ok:
 			a.observe(csp.Var(msg.Sender), msg.Value, msg.Priority)
 		case Request:
 			// Always answer with the current value, even on an existing
@@ -365,12 +361,8 @@ func (a *Agent) Step(in []sim.Message) []sim.Message {
 		// The agent's state did not change, but fresh requesters still
 		// need to learn the current value.
 		for _, v := range mustAnswer {
-			a.out = append(a.out, Ok{
-				Sender:   a.ID(),
-				Receiver: sim.AgentID(v),
-				Value:    a.value,
-				Priority: a.priority,
-			})
+			ok := a.okTo(v)
+			a.out = append(a.out, &ok)
 		}
 	}
 	return a.output()
@@ -750,18 +742,22 @@ func (a *Agent) classifyViolations() {
 }
 
 // broadcastOk appends an ok? message for every outgoing link to the output
-// buffer, in deterministic (ascending id) order.
+// buffer, in deterministic (ascending id) order. The messages point into
+// one fresh array: the recipients may still hold them after the next step.
 func (a *Agent) broadcastOk() {
 	if a.learning.Reference {
 		a.out = a.broadcastOkRef(a.out)
 		return
 	}
-	for _, v := range a.links {
-		a.out = append(a.out, Ok{
-			Sender:   a.ID(),
-			Receiver: sim.AgentID(v),
-			Value:    a.value,
-			Priority: a.priority,
-		})
+	oks := make([]Ok, len(a.links))
+	for i, v := range a.links {
+		oks[i] = a.okTo(v)
+		a.out = append(a.out, &oks[i])
 	}
+}
+
+// okTo returns the ok? message announcing the current value and priority
+// to v.
+func (a *Agent) okTo(v csp.Var) Ok {
+	return Ok{Sender: a.ID(), Receiver: sim.AgentID(v), Value: a.value, Priority: a.priority}
 }

@@ -30,9 +30,9 @@ func TestAgentConsistentDoesNothing(t *testing.T) {
 	// the only higher nogoods (those with x0). Lower neighbors conflict,
 	// but that is their problem.
 	out := a.Step([]sim.Message{
-		Ok{Sender: 0, Receiver: 2, Value: 0, Priority: 0},
-		Ok{Sender: 3, Receiver: 2, Value: 1, Priority: 0},
-		Ok{Sender: 4, Receiver: 2, Value: 1, Priority: 0},
+		&Ok{Sender: 0, Receiver: 2, Value: 0, Priority: 0},
+		&Ok{Sender: 3, Receiver: 2, Value: 1, Priority: 0},
+		&Ok{Sender: 4, Receiver: 2, Value: 1, Priority: 0},
 	})
 	if len(out) != 0 {
 		t.Errorf("consistent agent sent %d messages: %v", len(out), out)
@@ -49,9 +49,9 @@ func TestAgentRepairsMinimizingLowerViolations(t *testing.T) {
 	// Lower neighbors both hold 1, so candidate 1 violates two lower
 	// nogoods while candidate 2 violates none.
 	out := a.Step([]sim.Message{
-		Ok{Sender: 0, Receiver: 2, Value: 0, Priority: 0},
-		Ok{Sender: 3, Receiver: 2, Value: 1, Priority: 0},
-		Ok{Sender: 4, Receiver: 2, Value: 1, Priority: 0},
+		&Ok{Sender: 0, Receiver: 2, Value: 0, Priority: 0},
+		&Ok{Sender: 3, Receiver: 2, Value: 1, Priority: 0},
+		&Ok{Sender: 4, Receiver: 2, Value: 1, Priority: 0},
 	})
 	if a.CurrentValue() != 2 {
 		t.Fatalf("value = %d, want 2 (minimum lower violations)", a.CurrentValue())
@@ -62,7 +62,7 @@ func TestAgentRepairsMinimizingLowerViolations(t *testing.T) {
 	// The move is announced to all three neighbors.
 	okCount := 0
 	for _, m := range out {
-		if _, isOk := m.(Ok); isOk {
+		if _, isOk := m.(*Ok); isOk {
 			okCount++
 		}
 	}
@@ -84,8 +84,8 @@ func TestAgentDuplicateNogoodSuppressed(t *testing.T) {
 	}
 	a := NewAgent(2, p, 0, Learning{Kind: LearnResolvent})
 	out1 := a.Step([]sim.Message{
-		Ok{Sender: 0, Receiver: 2, Value: 0, Priority: 5},
-		Ok{Sender: 1, Receiver: 2, Value: 1, Priority: 5},
+		&Ok{Sender: 0, Receiver: 2, Value: 0, Priority: 5},
+		&Ok{Sender: 1, Receiver: 2, Value: 1, Priority: 5},
 	})
 	if len(out1) == 0 {
 		t.Fatalf("first deadend produced no messages")
@@ -97,8 +97,8 @@ func TestAgentDuplicateNogoodSuppressed(t *testing.T) {
 	// recurs and derives the identical nogood, so the agent must do
 	// nothing (Section 2.2's completeness guard).
 	out2 := a.Step([]sim.Message{
-		Ok{Sender: 0, Receiver: 2, Value: 0, Priority: 10},
-		Ok{Sender: 1, Receiver: 2, Value: 1, Priority: 10},
+		&Ok{Sender: 0, Receiver: 2, Value: 0, Priority: 10},
+		&Ok{Sender: 1, Receiver: 2, Value: 1, Priority: 10},
 	})
 	if len(out2) != 0 {
 		t.Errorf("duplicate deadend produced %d messages: %v", len(out2), out2)
@@ -141,7 +141,7 @@ func TestAgentInsolubleOnWipedDomain(t *testing.T) {
 			t.Errorf("neighbour=%v: insoluble agent sent %v from Init", neighbour, out)
 		}
 		// Further steps stay silent.
-		if got := a.Step([]sim.Message{Ok{Sender: 1, Receiver: 0}}); len(got) != 0 {
+		if got := a.Step([]sim.Message{&Ok{Sender: 1, Receiver: 0}}); len(got) != 0 {
 			t.Errorf("neighbour=%v: insoluble agent stepped: %v", neighbour, got)
 		}
 	}
@@ -154,18 +154,18 @@ func TestAgentAnswersRequest(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("out = %v, want one ok? reply", out)
 	}
-	reply, ok := out[0].(Ok)
+	reply, ok := out[0].(*Ok)
 	if !ok || reply.Receiver != 1 || reply.Value != 1 {
 		t.Fatalf("reply = %+v", out[0])
 	}
 	// The requester is now a standing link: a later value change reaches
 	// it too.
 	out = a.Step([]sim.Message{
-		Ok{Sender: 0, Receiver: 2, Value: 1, Priority: 3},
+		&Ok{Sender: 0, Receiver: 2, Value: 1, Priority: 3},
 	})
 	sawLink := false
 	for _, m := range out {
-		if okMsg, isOk := m.(Ok); isOk && okMsg.Receiver == 1 {
+		if okMsg, isOk := m.(*Ok); isOk && okMsg.Receiver == 1 {
 			sawLink = true
 		}
 	}
@@ -246,8 +246,8 @@ func TestAgentRedundantGenerationCounting(t *testing.T) {
 	a := NewAgent(2, p, 0, Learning{Kind: LearnResolvent, NoRecord: true})
 	squeeze := func(v0, v1 csp.Value, prio int) []sim.Message {
 		return []sim.Message{
-			Ok{Sender: 0, Receiver: 2, Value: v0, Priority: prio},
-			Ok{Sender: 1, Receiver: 2, Value: v1, Priority: prio},
+			&Ok{Sender: 0, Receiver: 2, Value: v0, Priority: prio},
+			&Ok{Sender: 1, Receiver: 2, Value: v1, Priority: prio},
 		}
 	}
 	a.Step(squeeze(0, 1, 100)) // α = {(0,0),(1,1)}
@@ -293,7 +293,7 @@ func TestResolventProperties(t *testing.T) {
 				val = csp.Value(rng.Intn(domSize))
 			}
 			view[v] = val
-			in = append(in, Ok{
+			in = append(in, &Ok{
 				Sender:   sim.AgentID(v),
 				Receiver: sim.AgentID(own),
 				Value:    val,
@@ -358,9 +358,9 @@ func TestTieBreakRandomStillSolvesAndIsSeeded(t *testing.T) {
 		return NewAgent(2, p, 0, Learning{Kind: LearnResolvent, TieBreak: TieBreakRandom, Seed: seed})
 	}
 	in := []sim.Message{
-		Ok{Sender: 0, Receiver: 2, Value: 0, Priority: 0},
-		Ok{Sender: 3, Receiver: 2, Value: 0, Priority: 0},
-		Ok{Sender: 4, Receiver: 2, Value: 0, Priority: 0},
+		&Ok{Sender: 0, Receiver: 2, Value: 0, Priority: 0},
+		&Ok{Sender: 3, Receiver: 2, Value: 0, Priority: 0},
+		&Ok{Sender: 4, Receiver: 2, Value: 0, Priority: 0},
 	}
 	// Candidates 1 and 2 tie (no lower violations each); a fixed seed must
 	// give a reproducible pick, and across seeds both values must appear.

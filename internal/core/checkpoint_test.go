@@ -55,7 +55,7 @@ func testCheckpointRoundTrip(t *testing.T, learning Learning) {
 			t.Fatalf("agent %d: restored scalars differ", v)
 		}
 		// The restored agent must behave identically: same batch, same output.
-		batch := []sim.Message{Ok{Sender: sim.AgentID((v + 1) % p.NumVars()), Receiver: sim.AgentID(v), Value: 2, Priority: 5}}
+		batch := []sim.Message{&Ok{Sender: sim.AgentID((v + 1) % p.NumVars()), Receiver: sim.AgentID(v), Value: 2, Priority: 5}}
 		out1 := a.Step(batch)
 		out2 := fresh.Step(batch)
 		if !reflect.DeepEqual(out1, out2) {

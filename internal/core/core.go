@@ -182,7 +182,9 @@ func (l Learning) shouldRecord(ng csp.Nogood) bool {
 	return true
 }
 
-// Ok is the ok? message: the sender's current value and priority.
+// Ok is the ok? message: the sender's current value and priority. It
+// travels as *Ok, and a broadcast points its messages into one backing
+// array, so announcing a value to k links costs one allocation, not k.
 type Ok struct {
 	Sender   sim.AgentID
 	Receiver sim.AgentID
@@ -193,16 +195,17 @@ type Ok struct {
 }
 
 // From implements sim.Message.
-func (m Ok) From() sim.AgentID { return m.Sender }
+func (m *Ok) From() sim.AgentID { return m.Sender }
 
 // To implements sim.Message.
-func (m Ok) To() sim.AgentID { return m.Receiver }
+func (m *Ok) To() sim.AgentID { return m.Receiver }
 
 // CausalID implements causal.Traced.
-func (m Ok) CausalID() causal.ID { return m.TID }
+func (m *Ok) CausalID() causal.ID { return m.TID }
 
-// WithCausalID implements causal.Traced.
-func (m Ok) WithCausalID(id causal.ID) any { m.TID = id; return m }
+// WithCausalID implements causal.Traced: it returns a stamped copy and
+// leaves the receiver, which may share a broadcast's array, untouched.
+func (m *Ok) WithCausalID(id causal.ID) any { c := *m; c.TID = id; return &c }
 
 // NogoodMsg carries a newly derived nogood to an agent whose variable
 // appears in it.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"github.com/discsp/discsp/internal/causal"
 	"github.com/discsp/discsp/internal/csp"
 	"github.com/discsp/discsp/internal/sim"
 )
@@ -80,6 +81,27 @@ func TestShouldRecord(t *testing.T) {
 	}
 }
 
+// TestOkWithCausalIDCopies pins that stamping an ok? message leaves the
+// original alone: a broadcast's messages share one array, and a recipient
+// may still read the unstamped one.
+func TestOkWithCausalIDCopies(t *testing.T) {
+	orig := &Ok{Sender: 1, Receiver: 2, Value: 1, Priority: 3}
+	id := causal.ID{Agent: 1, Seq: 7}
+	stamped, ok := orig.WithCausalID(id).(*Ok)
+	if !ok {
+		t.Fatalf("WithCausalID returned %T, want *Ok", orig.WithCausalID(id))
+	}
+	if stamped == orig {
+		t.Fatal("WithCausalID returned its receiver, want a copy")
+	}
+	if stamped.CausalID() != id || stamped.Sender != 1 || stamped.Receiver != 2 || stamped.Value != 1 || stamped.Priority != 3 {
+		t.Errorf("stamped = %+v, want the original's fields with TID %v", *stamped, id)
+	}
+	if !orig.TID.IsZero() {
+		t.Errorf("receiver's TID = %v after stamping, want zero", orig.TID)
+	}
+}
+
 func TestRankOutranks(t *testing.T) {
 	tests := []struct {
 		a, b rank
@@ -120,10 +142,10 @@ func figure1Agent(t *testing.T, learning Learning) (*Agent, []sim.Message) {
 	a := NewAgent(4, p, red, learning)
 
 	in := []sim.Message{
-		Ok{Sender: 0, Receiver: 4, Value: red, Priority: 5},
-		Ok{Sender: 1, Receiver: 4, Value: yellow, Priority: 3},
-		Ok{Sender: 2, Receiver: 4, Value: green, Priority: 4},
-		Ok{Sender: 3, Receiver: 4, Value: red, Priority: 2},
+		&Ok{Sender: 0, Receiver: 4, Value: red, Priority: 5},
+		&Ok{Sender: 1, Receiver: 4, Value: yellow, Priority: 3},
+		&Ok{Sender: 2, Receiver: 4, Value: green, Priority: 4},
+		&Ok{Sender: 3, Receiver: 4, Value: red, Priority: 2},
 		NogoodMsg{Sender: 3, Receiver: 4, Nogood: csp.MustNogood(
 			csp.Lit{Var: 2, Val: green},
 			csp.Lit{Var: 3, Val: red},
@@ -175,7 +197,7 @@ func TestFigure1Resolvent(t *testing.T) {
 	// ok? messages must go to every neighbor with the new priority.
 	okCount := 0
 	for _, m := range out {
-		if ok, isOk := m.(Ok); isOk {
+		if ok, isOk := m.(*Ok); isOk {
 			okCount++
 			if ok.Priority != 6 {
 				t.Errorf("ok priority = %d, want 6", ok.Priority)

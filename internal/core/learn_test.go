@@ -68,8 +68,8 @@ func mcsScenario(t *testing.T, restrict bool) *Agent {
 	add(csp.Lit{Var: 0, Val: 1}, csp.Lit{Var: 3, Val: 1})
 	a := NewAgent(3, p, 0, Learning{Kind: LearnMCS, MCSRestrictScan: restrict})
 	out := a.Step([]sim.Message{
-		Ok{Sender: 0, Receiver: 3, Value: 1, Priority: 2},
-		Ok{Sender: 1, Receiver: 3, Value: 1, Priority: 1},
+		&Ok{Sender: 0, Receiver: 3, Value: 1, Priority: 2},
+		&Ok{Sender: 1, Receiver: 3, Value: 1, Priority: 1},
 	})
 	want := csp.MustNogood(csp.Lit{Var: 0, Val: 1})
 	found := false
@@ -117,8 +117,8 @@ func TestMCSGreedyFallback(t *testing.T) {
 	add(csp.Lit{Var: 0, Val: 1}, csp.Lit{Var: 3, Val: 1})
 	a := NewAgent(3, p, 0, Learning{Kind: LearnMCS, MCSExhaustiveLimit: 1})
 	out := a.Step([]sim.Message{
-		Ok{Sender: 0, Receiver: 3, Value: 1, Priority: 2},
-		Ok{Sender: 1, Receiver: 3, Value: 1, Priority: 1},
+		&Ok{Sender: 0, Receiver: 3, Value: 1, Priority: 2},
+		&Ok{Sender: 1, Receiver: 3, Value: 1, Priority: 1},
 	})
 	want := csp.MustNogood(csp.Lit{Var: 0, Val: 1})
 	for _, m := range out {
@@ -169,7 +169,7 @@ func TestMCSMinimalityProperty(t *testing.T) {
 		for v := csp.Var(0); v < own; v++ {
 			val := csp.Value(rng.Intn(domSize))
 			view[v] = val
-			in = append(in, Ok{Sender: sim.AgentID(v), Receiver: sim.AgentID(own), Value: val, Priority: 1})
+			in = append(in, &Ok{Sender: sim.AgentID(v), Receiver: sim.AgentID(own), Value: val, Priority: 1})
 		}
 		out := a.Step(in)
 		var learned *csp.Nogood

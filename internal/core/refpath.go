@@ -88,12 +88,8 @@ func (a *Agent) broadcastOkRef(msgs []sim.Message) []sim.Message {
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 	for _, v := range targets {
-		msgs = append(msgs, Ok{
-			Sender:   a.ID(),
-			Receiver: sim.AgentID(v),
-			Value:    a.value,
-			Priority: a.priority,
-		})
+		ok := a.okTo(v)
+		msgs = append(msgs, &ok)
 	}
 	return msgs
 }

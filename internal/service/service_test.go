@@ -84,7 +84,10 @@ func TestSubmitSolveLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if st.State != StateQueued && st.State != StateRunning {
+	// Submit enqueues before it journals the accept and snapshots last, so a
+	// worker may already have finished the small job: an accepted job can
+	// legitimately come back done.
+	if st.State != StateQueued && st.State != StateRunning && st.State != StateDone {
 		t.Fatalf("submit state = %q", st.State)
 	}
 	if st.Tenant != "default" {

@@ -34,7 +34,11 @@ type AgentID int
 
 // Message is one unit of communication between agents. Concrete message
 // types are defined by each algorithm package (ok?, nogood, request for AWC;
-// ok?, improve for DB).
+// ok?, improve for DB). A message is immutable once an agent returns it: a
+// runtime may hold the same value in more than one place (the asynchronous
+// runtime queues an injected duplicate that shares its original's value),
+// and a pointer message such as *core.Ok may share its array with the
+// rest of a broadcast.
 type Message interface {
 	// From is the sending agent.
 	From() AgentID
@@ -55,7 +59,7 @@ type Agent interface {
 	// Step processes the batch of messages delivered this cycle and returns
 	// outgoing messages. The batch is sorted by (sender, arrival order) and
 	// may be empty for agents that received nothing. in is valid only for
-	// the duration of the call: the simulator reuses its backing array for
+	// the duration of the call: the runtimes reuse its backing array for
 	// later deliveries, so an implementation that keeps messages past the
 	// call must copy them out. Likewise, the returned slice is valid until
 	// the agent's next Init or Step call, which may reuse its backing

@@ -186,7 +186,7 @@ func Encode(m sim.Message) (Envelope, error) {
 
 func encode(m sim.Message) (Envelope, error) {
 	switch msg := m.(type) {
-	case core.Ok:
+	case *core.Ok:
 		return Envelope{Type: TypeCoreOk, From: int(msg.Sender), To: int(msg.Receiver),
 			Value: int(msg.Value), Priority: msg.Priority}, nil
 	case core.NogoodMsg:
@@ -242,7 +242,7 @@ func decode(e Envelope) (sim.Message, error) {
 	from, to := sim.AgentID(e.From), sim.AgentID(e.To)
 	switch e.Type {
 	case TypeCoreOk:
-		return core.Ok{Sender: from, Receiver: to, Value: csp.Value(e.Value), Priority: e.Priority}, nil
+		return &core.Ok{Sender: from, Receiver: to, Value: csp.Value(e.Value), Priority: e.Priority}, nil
 	case TypeCoreNogood:
 		ng, err := nogoodIn(e.Lits)
 		if err != nil {

@@ -24,7 +24,7 @@ func sampleNogood() csp.Nogood {
 // reproduce every supported message exactly.
 func TestRoundTripAllTypes(t *testing.T) {
 	msgs := []sim.Message{
-		core.Ok{Sender: 3, Receiver: 5, Value: 2, Priority: 7},
+		&core.Ok{Sender: 3, Receiver: 5, Value: 2, Priority: 7},
 		core.NogoodMsg{Sender: 1, Receiver: 4, Nogood: sampleNogood()},
 		core.Request{Sender: 9, Receiver: 2},
 		abt.Ok{Sender: 0, Receiver: 1, Value: 1},
@@ -91,7 +91,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 }
 
 func TestMessageInterfacesPreserved(t *testing.T) {
-	env, err := Encode(core.Ok{Sender: 3, Receiver: 5})
+	env, err := Encode(&core.Ok{Sender: 3, Receiver: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
