@@ -602,6 +602,40 @@ func TestCorruptFramesRecoveredByCRC(t *testing.T) {
 	}
 }
 
+// TestCorruptFramesAcrossCrashRestart adds crash-restarts to the CRC run:
+// every even agent dies after two steps and restarts from its checkpoint.
+// A crashed session stops consuming its socket while the reader goroutine
+// may still be counting a rejected frame, so the session must wait for
+// that reader before it sums the corrupt-frame count (the race detector
+// flags the unsynchronized read).
+func TestCorruptFramesAcrossCrashRestart(t *testing.T) {
+	inst, err := gen.Coloring(15, 35, 3, 71)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := gen.RandomInitial(inst.Problem, 72)
+	fcfg := corruptFirstAttempts
+	for v := 0; v < 15; v += 2 {
+		fcfg.Crashes = append(fcfg.Crashes, faults.Crash{Agent: v, AfterSteps: 2, Restart: true})
+	}
+	res, err := Run(inst.Problem, func(v csp.Var) sim.Agent {
+		return core.NewAgent(v, inst.Problem, init[v], core.Learning{Kind: core.LearnResolvent})
+	}, Options{
+		Timeout:  60 * time.Second,
+		Checksum: true,
+		Faults:   &fcfg,
+	})
+	if err != nil {
+		t.Fatalf("run: %v (res=%+v)", err, res)
+	}
+	if !res.Solved || !inst.Problem.IsSolution(res.Assignment) {
+		t.Fatalf("not solved under corruption and crash-restarts: %+v", res)
+	}
+	if res.CorruptFrames == 0 {
+		t.Errorf("no corrupt frames detected with every first attempt damaged: %+v", res)
+	}
+}
+
 // TestCorruptWithoutChecksumDegradesToDrop pins the fault's behavior on
 // links without the trailer: undetectable damage is indistinguishable from
 // a drop, so the injector withholds the frame instead (the retransmit

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"github.com/discsp/discsp/internal/backoff"
@@ -517,33 +518,31 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	lastRecv := lastWrite
 
 	// Reader goroutine: the main loop must also wake for retransmission
-	// ticks, so reads go through a channel. Envelopes are detached — they
-	// sit in the channel (and the reorder buffer) past the next read. A
-	// checksum-rejected frame is consumed, counted, and skipped; the
-	// sender's retransmission recovers it.
-	inbound := make(chan wire.Envelope, 128)
+	// ticks, so reads go through a channel, one group per socket read (see
+	// readGroups); the loop below steps the agent once per group. The
+	// channel's slack lets the reader keep draining the socket while the
+	// loop steps. The session's end closes the conn and waits for the
+	// reader before reading its corrupt-frame count.
+	inbound := make(chan []wire.Envelope, 128)
 	readerQuit := make(chan struct{})
+	readerDone := make(chan struct{})
 	defer func() {
 		close(readerQuit)
+		conn.Close()
+		<-readerDone
 		st.corrupt += fr.CorruptFrames
 	}()
 	go func() {
+		defer close(readerDone)
 		defer close(inbound)
-		for {
-			e, err := fr.Next()
-			if err != nil {
-				if errors.Is(err, wire.ErrCorruptFrame) {
-					continue
-				}
-				return
-			}
-			e.Detach()
+		readGroups(fr, func(e wire.Envelope) wire.Envelope { return e }, func(g []wire.Envelope) bool {
 			select {
-			case inbound <- e:
+			case inbound <- g:
+				return true
 			case <-readerQuit:
-				return
+				return false
 			}
-		}
+		})
 	}()
 
 	// failRW classifies a write error once the reader is running. A write
@@ -561,7 +560,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 		defer deadline.Stop()
 		for {
 			select {
-			case e, ok := <-inbound:
+			case g, ok := <-inbound:
 				if !ok {
 					// EOF. For a reconnect-enabled node the hub may still be
 					// alive (a severed socket looks the same); redial. For an
@@ -571,11 +570,13 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 					}
 					return endStop, nil
 				}
-				if e.Type == wire.TypeStop {
-					if cfg.onStop != nil {
-						cfg.onStop()
+				for _, e := range g {
+					if e.Type == wire.TypeStop {
+						if cfg.onStop != nil {
+							cfg.onStop()
+						}
+						return endStop, nil
 					}
-					return endStop, nil
 				}
 				// Any other frame is abandoned: this session is ending
 				// either way, and retransmission covers a resumed one.
@@ -589,9 +590,13 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 
 	ticker := time.NewTicker(retransmitTick)
 	defer ticker.Stop()
+	var (
+		batch []sim.Message // what the read group released, per-sender FIFO
+		heard []int         // the links its data frames came from, each once
+	)
 	for {
 		select {
-		case e, ok := <-inbound:
+		case g, ok := <-inbound:
 			if !ok {
 				// EOF without ctl.stop: severed connection or hub teardown.
 				select {
@@ -605,20 +610,119 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 				return endStop, nil
 			}
 			lastRecv = time.Now()
-			switch e.Type {
-			case wire.TypeStop:
-				if cfg.onStop != nil {
-					cfg.onStop()
+			// Walk the group up to its next reset (or its end), step once
+			// on what that stretch released, then apply the reset, so every
+			// step on frames that precede a reset in the stream is written
+			// before the reset's echo.
+			for len(g) > 0 {
+				i := 0
+				for ; i < len(g) && g[i].Type != wire.TypeReset; i++ {
+					e := g[i]
+					switch e.Type {
+					case wire.TypeStop:
+						if cfg.onStop != nil {
+							cfg.onStop()
+						}
+						return endStop, nil
+					case wire.TypeHeartbeat:
+						// Pure liveness: the hub is up; lastRecv just advanced.
+						continue
+					case wire.TypeAck:
+						if sl, ok := st.sendLinks[e.From]; ok {
+							sl.Ack(e.Ack, time.Now())
+						}
+						continue
+					}
+					released, _, err := recvLink(e.From).Accept(e)
+					if err != nil {
+						return endStop, err
+					}
+					if !slices.Contains(heard, e.From) {
+						heard = append(heard, e.From)
+					}
+					for _, env := range released {
+						msg, err := wire.Decode(env)
+						if err != nil {
+							return endStop, err
+						}
+						batch = append(batch, msg)
+					}
 				}
-				return endStop, nil
-			case wire.TypeHeartbeat:
-				// Pure liveness: the hub is up; lastRecv just advanced.
-				continue
-			case wire.TypeReset:
+				if len(heard) > 0 {
+					now := time.Now()
+					var outFrames []wire.Envelope
+					if len(batch) > 0 {
+						at.Begin(causal.SpanStep, st.steps)
+						causeIn(at, batch)
+						out := agent.Step(batch)
+						stampOut(at, out)
+						at.End()
+						st.steps++
+						// Stamp the output into the send links BEFORE
+						// checkpointing: if the crash hits after the
+						// checkpoint, the output survives in the unacked
+						// buffers and the restart retransmits it.
+						outFrames = make([]wire.Envelope, 0, len(out))
+						for _, m := range out {
+							env, err := wire.Encode(m)
+							if err != nil {
+								return endStop, err
+							}
+							env, err = sendLink(env.To).Stamp(env, now)
+							if err != nil {
+								return endStop, err
+							}
+							outFrames = append(outFrames, env)
+						}
+						// Checkpoint before acknowledging anything: acked
+						// must mean durable. The acks and state report for
+						// this step may then be lost to a crash; the restart
+						// re-reports them.
+						st.pendingReport = len(batch)
+						saveCheckpoint()
+						if hasCrash && st.steps > cr.AfterSteps {
+							// Scheduled crash: the process dies before acking
+							// the step. Everything since the checkpoint is
+							// lost; senders retransmit, the restart replays
+							// the checkpoint.
+							return endCrashed, nil
+						}
+					}
+					for _, of := range outFrames {
+						if err := send(of); err != nil {
+							return failRW(err)
+						}
+					}
+					// One ack per link heard from. For a stretch that
+					// released nothing (duplicates or gaps) these are the
+					// re-acks that stop a sender whose ack was lost from
+					// retransmitting.
+					for _, from := range heard {
+						if err := send(wire.Envelope{Type: wire.TypeAck, From: int(v), To: from, Ack: st.recvLinks[from].CumAck()}); err != nil {
+							return failRW(err)
+						}
+					}
+					if len(batch) > 0 {
+						if err := writeState(len(batch)); err != nil {
+							return failRW(err)
+						}
+					}
+					if err := fw.Flush(); err != nil {
+						return failRW(err)
+					}
+					lastWrite = time.Now()
+					st.pendingReport = 0
+					clear(batch)
+					batch, heard = batch[:0], heard[:0]
+				}
+				if i == len(g) {
+					break
+				}
 				// A peer relaunched cold: renumber the unacked window
 				// toward it from 1, rewind the receive frontier, and echo
 				// so the hub lifts its hold on our frames toward the peer.
-				b := e.From
+				b := g[i].From
+				g = g[i+1:]
 				now := time.Now()
 				if sl, ok := st.sendLinks[b]; ok {
 					sl.Reset(now)
@@ -659,88 +763,14 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 					return failRW(err)
 				}
 				lastWrite = now
-				continue
-			case wire.TypeAck:
-				if sl, ok := st.sendLinks[e.From]; ok {
-					sl.Ack(e.Ack, time.Now())
-				}
-				continue
 			}
-			rl := recvLink(e.From)
-			released, _, err := rl.Accept(e)
-			if err != nil {
-				return endStop, err
-			}
-			now := time.Now()
-			if len(released) == 0 {
-				// Duplicate or gap: re-ack so a sender whose ack was lost
-				// stops retransmitting.
-				if err := send(wire.Envelope{Type: wire.TypeAck, From: int(v), To: e.From, Ack: rl.CumAck()}); err != nil {
-					return failRW(err)
-				}
-				if err := fw.Flush(); err != nil {
-					return failRW(err)
-				}
-				lastWrite = now
-				continue
-			}
-			batch := make([]sim.Message, 0, len(released))
-			for _, env := range released {
-				msg, err := wire.Decode(env)
-				if err != nil {
-					return endStop, err
-				}
-				batch = append(batch, msg)
-			}
-			at.Begin(causal.SpanStep, st.steps)
-			causeIn(at, batch)
-			out := agent.Step(batch)
-			stampOut(at, out)
-			at.End()
-			st.steps++
-			// Stamp the output into the send links BEFORE checkpointing:
-			// if the crash hits after the checkpoint, the output survives
-			// in the unacked buffers and the restart retransmits it.
-			outFrames := make([]wire.Envelope, 0, len(out))
-			for _, m := range out {
-				env, err := wire.Encode(m)
-				if err != nil {
-					return endStop, err
-				}
-				env, err = sendLink(env.To).Stamp(env, now)
-				if err != nil {
-					return endStop, err
-				}
-				outFrames = append(outFrames, env)
-			}
-			// Checkpoint before acknowledging anything: acked must mean
-			// durable. The ack and state report for this step may then be
-			// lost to a crash; the restart re-reports them.
-			st.pendingReport = len(released)
-			saveCheckpoint()
-			if hasCrash && st.steps > cr.AfterSteps {
-				// Scheduled crash: the process dies before acking the
-				// step. Everything since the checkpoint is lost; senders
-				// retransmit, the restart replays the checkpoint.
-				return endCrashed, nil
-			}
-			for _, of := range outFrames {
-				if err := send(of); err != nil {
-					return failRW(err)
-				}
-			}
-			if err := send(wire.Envelope{Type: wire.TypeAck, From: int(v), To: e.From, Ack: rl.CumAck()}); err != nil {
-				return failRW(err)
-			}
-			if err := writeState(len(released)); err != nil {
-				return failRW(err)
-			}
-			if err := fw.Flush(); err != nil {
-				return failRW(err)
-			}
-			lastWrite = time.Now()
-			st.pendingReport = 0
 		case <-ticker.C:
+			if len(inbound) > 0 {
+				// select picks at random between ready cases, and a group
+				// already waiting may hold the acks that make this tick's
+				// retransmissions spurious: take it first.
+				continue
+			}
 			now := time.Now()
 			wrote := false
 			for _, sl := range st.sendLinks {

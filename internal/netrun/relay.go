@@ -81,24 +81,49 @@ func (h *hub) acceptLoop(r *relay, readWG *sync.WaitGroup) {
 	}
 }
 
-// readLoop decodes frames from one connection into the hub channel. All
-// frames — including hello — go through the channel so that connection
-// registration happens on the single-threaded route loop. The one thing
-// decided here is codec negotiation: the reader must switch before the next
-// read, and the node sends nothing after its hello until the welcome
-// arrives, so the switch point is unambiguous. The negotiated name rides to
-// the route loop on the hello's Codec field.
-func (h *hub) readLoop(rc *relayConn) {
+// readGroups reads fr until the stream fails or deliver returns false,
+// handing deliver one group per socket read: every frame Next returns until
+// fr.Buffered turns false. Each frame is detached — a group outlives the
+// next read — and passes through frame before fr.Buffered is asked, so
+// frame may switch the reader's codec. A checksum-rejected frame is
+// consumed, counted by fr, and skipped; the stream stays aligned and the
+// sender retransmits. On any other read error the frames already decoded
+// are still delivered.
+func readGroups[T any](fr *wire.FrameReader, frame func(wire.Envelope) T, deliver func([]T) bool) {
+	var group []T
 	for {
-		env, err := rc.fr.Next()
-		if err != nil {
-			if errors.Is(err, wire.ErrCorruptFrame) {
-				// A checksum-rejected frame is consumed and counted; the
-				// stream stays aligned and the sender retransmits.
-				continue
+		e, err := fr.Next()
+		switch {
+		case errors.Is(err, wire.ErrCorruptFrame):
+		case err != nil:
+			if len(group) > 0 {
+				deliver(group)
 			}
-			return // node-side close or framing damage: drop the connection
+			return
+		default:
+			e.Detach()
+			group = append(group, frame(e))
 		}
+		if len(group) == 0 || fr.Buffered() {
+			continue
+		}
+		if !deliver(group) {
+			return
+		}
+		group = nil
+	}
+}
+
+// readLoop decodes frames from one connection into the hub channel, one
+// group per socket read, so the route loop routes a whole group before its
+// idle flush. All frames — including hello — go through the channel so
+// that connection registration happens on the single-threaded route loop.
+// The one thing decided here is codec negotiation: the reader must switch
+// before the next read, and the node sends nothing after its hello until
+// the welcome arrives, so the switch point is unambiguous. The negotiated
+// name rides to the route loop on the hello's Codec field.
+func (h *hub) readLoop(rc *relayConn) {
+	readGroups(rc.fr, func(env wire.Envelope) inFrame {
 		if env.Type == wire.TypeHello {
 			neg := negotiate(h.codec, env.Codec)
 			rc.fr.SetCodec(neg)
@@ -110,15 +135,15 @@ func (h *hub) readLoop(rc *relayConn) {
 			}
 			env.Codec = neg.String()
 		}
-		// Frames outlive the next Next call (queues, delays, checkpoints):
-		// unalias the reader's scratch.
-		env.Detach()
+		return inFrame{env: env, src: rc}
+	}, func(g []inFrame) bool {
 		select {
-		case h.frames <- inFrame{env: env, src: rc}:
+		case h.frames <- g:
+			return true
 		case <-h.stop:
-			return
+			return false
 		}
-	}
+	})
 }
 
 // negotiate picks one connection's codec: binary unless either side asks

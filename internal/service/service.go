@@ -468,15 +468,16 @@ func (d *Daemon) worker() {
 	}
 }
 
-// finish journals and applies a final status. Journal-before-expose is the
-// ordering that makes "done" durable: a crash between the two replays the
-// recorded result instead of re-running. A journal write failure downgrades
-// durability, not availability — the result is still served, loudly.
+// finish journals, counts and applies a final status. Journal-before-expose
+// is the ordering that makes "done" durable: a crash between the two
+// replays the recorded result instead of re-running. Count-before-expose
+// makes /metrics agree with a verdict as soon as Wait returns it. A journal
+// write failure downgrades durability, not availability — the result is
+// still served, loudly.
 func (d *Daemon) finish(j *job, st JobStatus) {
 	if err := d.log.recordDone(j.id, toDoneRecord(st)); err != nil {
 		d.cfg.Logf("dcspd: journal done %s: %v (result served from memory only)", j.id, err)
 	}
-	j.complete(st)
 	switch st.Verdict {
 	case VerdictFailed, VerdictTimeout:
 		d.m.failed.Inc()
@@ -486,6 +487,7 @@ func (d *Daemon) finish(j *job, st JobStatus) {
 		d.m.completed.Inc()
 	}
 	d.observeJob(j, st)
+	j.complete(st)
 }
 
 // runJob executes one job to a verdict, with deadline enforcement, cancel

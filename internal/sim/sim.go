@@ -57,13 +57,16 @@ type Agent interface {
 	// The returned slice follows Step's contract.
 	Init() []Message
 	// Step processes the batch of messages delivered this cycle and returns
-	// outgoing messages. The batch is sorted by (sender, arrival order) and
-	// may be empty for agents that received nothing. in is valid only for
-	// the duration of the call: the runtimes reuse its backing array for
-	// later deliveries, so an implementation that keeps messages past the
-	// call must copy them out. Likewise, the returned slice is valid until
-	// the agent's next Init or Step call, which may reuse its backing
-	// array, so a caller must copy the messages out before that call.
+	// outgoing messages. The batch may be empty for agents that received
+	// nothing. Only the simulator sorts it, by (sender, arrival order); the
+	// async runtime's mailbox batches and netrun's read groups keep each
+	// sender's messages in send order but interleave senders in arrival
+	// order. in is valid only for the duration of the call: the runtimes
+	// reuse its backing array for later deliveries, so an implementation
+	// that keeps messages past the call must copy them out. Likewise, the
+	// returned slice is valid until the agent's next Init or Step call,
+	// which may reuse its backing array, so a caller must copy the messages
+	// out before that call.
 	Step(in []Message) []Message
 	// CurrentValue returns the agent's current variable value, for the
 	// simulator's out-of-band solution check.

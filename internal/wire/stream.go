@@ -23,6 +23,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -154,6 +155,22 @@ func (f *FrameReader) Next() (Envelope, error) {
 		f.Frames++
 		return e, nil
 	}
+}
+
+// Buffered reports whether the next Next call can be answered without
+// reading the stream: a batch is partly drained, or a whole frame sits in
+// the read buffer. It never reads the stream itself, so a caller can hand
+// over everything one read delivered as a group once it turns false.
+func (f *FrameReader) Buffered() bool {
+	if f.ackIdx < len(f.acks) || f.bframes > 0 || f.jIdx < len(f.jframes) {
+		return true
+	}
+	b, _ := f.r.Peek(f.r.Buffered()) // peeking only what is buffered cannot fail
+	if f.codec == CodecJSON {
+		return bytes.IndexByte(b, '\n') >= 0
+	}
+	n, k := binary.Uvarint(b) // the length includes any CRC trailer
+	return k > 0 && n <= uint64(len(b)-k)
 }
 
 // nextJSON reads one JSON line; more=true means it was a batch and the

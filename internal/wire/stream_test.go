@@ -310,3 +310,111 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("binary decode: %v allocs/op, want 0", n)
 	}
 }
+
+// TestFrameReaderBuffered pins when a reader says its next frame needs no
+// stream read: a partly drained batch, or a whole frame already in the read
+// buffer. A read that stopped inside a frame's length prefix or payload
+// does not count, and Buffered itself never reads.
+func TestFrameReaderBuffered(t *testing.T) {
+	// Enough literals that the second frame's binary length prefix takes
+	// two bytes, so a read can stop inside it.
+	lits := make([]Lit, 80)
+	for i := range lits {
+		lits[i] = Lit{Var: i, Val: 1}
+	}
+	first := Envelope{Type: TypeCoreOk, From: 1, To: 2, Value: 3, Seq: 1}
+	second := Envelope{Type: TypeCoreNogood, From: 2, To: 1, Lits: lits, Seq: 2}
+	ack := Envelope{Type: TypeAck, From: 2, To: 1, Ack: 5}
+
+	for _, tc := range []struct {
+		name  string
+		codec Codec
+		crc   bool
+	}{
+		{"json", CodecJSON, false},
+		{"binary", CodecBinary, false},
+		{"binary+crc", CodecBinary, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			render := func(batch bool, envs ...Envelope) []byte {
+				var sock bytes.Buffer
+				fw := NewFrameWriter(&sock)
+				fw.SetCodec(tc.codec)
+				if tc.crc {
+					fw.EnableChecksum()
+				}
+				if batch {
+					fw.EnableBatching(8, 4<<10)
+				}
+				for i := range envs {
+					if err := fw.Send(&envs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := fw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return sock.Bytes()
+			}
+			// reader serves the given chunks one Read each.
+			reader := func(chunks ...[]byte) *FrameReader {
+				fr := NewFrameReader(&chunkedReader{parts: chunks})
+				fr.SetCodec(tc.codec)
+				if tc.crc {
+					fr.EnableChecksum()
+				}
+				return fr
+			}
+			next := func(fr *FrameReader, want Envelope) {
+				t.Helper()
+				got, err := fr.Next()
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("Next = %+v, %v; want %+v", got, err, want)
+				}
+			}
+			a, b := render(false, first), render(false, second)
+			if tc.codec == CodecBinary && b[0] < 0x80 {
+				t.Fatalf("second frame's length prefix is one byte (%d); the split-prefix case needs two", b[0])
+			}
+
+			if reader(a, b).Buffered() {
+				t.Error("empty: Buffered before any read")
+			}
+
+			fr := reader(append(append([]byte{}, a...), b...))
+			next(fr, first)
+			if !fr.Buffered() {
+				t.Error("whole frame: second frame sits in the buffer, Buffered = false")
+			}
+			next(fr, second)
+			if fr.Buffered() {
+				t.Error("whole frame: stream drained, Buffered = true")
+			}
+
+			for _, split := range []struct {
+				name string
+				at   int
+			}{{"split length prefix", 1}, {"split payload", len(b) - 1}} {
+				fr := reader(append(append([]byte{}, a...), b[:split.at]...), b[split.at:])
+				next(fr, first)
+				if fr.Buffered() {
+					t.Errorf("%s: Buffered = true with part of a frame buffered", split.name)
+				}
+				next(fr, second)
+				if fr.Buffered() {
+					t.Errorf("%s: stream drained, Buffered = true", split.name)
+				}
+			}
+
+			// A batch expands to its ack, then its data frames: Buffered
+			// holds until the last of the three is returned.
+			fr = reader(render(true, first, second, ack))
+			for i, want := range []Envelope{ack, first, second} {
+				next(fr, want)
+				if got := fr.Buffered(); got != (i < 2) {
+					t.Errorf("batch frame %d of 3: Buffered = %v", i+1, got)
+				}
+			}
+		})
+	}
+}
