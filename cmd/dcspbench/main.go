@@ -45,7 +45,6 @@ import (
 	"github.com/discsp/discsp/internal/gen"
 	"github.com/discsp/discsp/internal/nogood"
 	"github.com/discsp/discsp/internal/telemetry"
-	"github.com/discsp/discsp/internal/wire"
 )
 
 func main() {
@@ -83,7 +82,6 @@ func run() error {
 		faultsArg = flag.String("faults", "", "fault profile for -runtimes (async/tcp legs): "+faults.ProfileSyntax)
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule in -faults")
 		shards    = flag.Int("shards", 0, "shard the -runtimes tcp leg's hub across N relay listeners; 0 = one")
-		wireCodec = flag.String("wire-codec", "binary", "-runtimes tcp leg wire codec: binary or json")
 		causalOn  = flag.Bool("causal", false, "causally trace the -runtimes tcp leg (spans, message trace IDs, nogood lineage); needs -trace-out")
 		causalOut = flag.String("trace-out", "", "write the -causal trace stream to this file (read it with dcsptrace)")
 
@@ -213,11 +211,7 @@ func run() error {
 	case *warmstart != "":
 		return printWarmStart(*warmstart, scale, *warmOut)
 	case *runtimes != "":
-		codec, err := wire.ParseCodec(*wireCodec)
-		if err != nil {
-			return err
-		}
-		tcp := experiments.TCPOptions{Shards: *shards, Codec: codec}
+		tcp := experiments.TCPOptions{Shards: *shards}
 		if *causalOn != (*causalOut != "") {
 			return fmt.Errorf("-causal and -trace-out go together")
 		}

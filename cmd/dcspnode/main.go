@@ -52,9 +52,7 @@ func run() error {
 		colors    = flag.Int("colors", 3, "colors for .col inputs")
 		seed      = flag.Int64("seed", 1, "seed for random initial values (must match the hub's)")
 		retention = flag.String("retention", "all", "nogood-store retention policy: all, lru:<cap>, or activity:<cap>")
-		wireCodec = flag.String("wire-codec", "binary", "wire codec to request: binary or json")
-		noBatch   = flag.Bool("wire-nobatch", false, "disable frame batching on this worker's connections")
-		wireCRC   = flag.Bool("wire-crc", false, "request the CRC32C frame trailer on binary connections (effective only when the hub armed -wire-crc too)")
+		wireCRC   = flag.Bool("wire-crc", false, "request the CRC32C frame trailer on this worker's connections (effective only when the hub armed -wire-crc too)")
 		drainWin  = flag.Duration("drain-window", 0, "how long a node with a failed write drains inbound frames for the hub's stop before reporting a hub death; 0 = 1s default (raise on slow links)")
 		connTO    = flag.Duration("connect-timeout", 0, "how long each node keeps retrying its dial — at startup before the hub listens, and when redialing after a severed connection; 0 = 15s default")
 		heartbeat = flag.Duration("heartbeat", 0, "idle-link liveness beacon period, matching the hub's; 0 = 500ms default, negative disables")
@@ -84,9 +82,8 @@ func run() error {
 	}
 
 	opts := discsp.Options{
-		InitialSeed: *seed,
-		WireCodec:   *wireCodec,
-		WireNoBatch: *noBatch,
+		InitialSeed:  *seed,
+		TCPTransport: discsp.TCPTransport{Checksum: *wireCRC, Heartbeat: *heartbeat, DeadPeerTimeout: *deadPeer},
 	}
 	switch *algo {
 	case "awc":
@@ -139,14 +136,11 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "dcspnode: %d nodes (%s) dialing %d relays\n",
 		len(vars), *varsArg, len(addrs))
 	stats, err := discsp.SolveTCPWorker(problem, opts, discsp.TCPWorkerOptions{
-		Addrs:           addrs,
-		Vars:            vars,
-		DrainWindow:     *drainWin,
-		ConnectTimeout:  *connTO,
-		Checksum:        *wireCRC,
-		Heartbeat:       *heartbeat,
-		DeadPeerTimeout: *deadPeer,
-		Causal:          ct,
+		Addrs:          addrs,
+		Vars:           vars,
+		DrainWindow:    *drainWin,
+		ConnectTimeout: *connTO,
+		Causal:         ct,
 	})
 	if err != nil {
 		return err

@@ -67,9 +67,7 @@ func run() error {
 		useAsync  = flag.Bool("async", false, "run on the asynchronous goroutine runtime")
 		useTCP    = flag.Bool("tcp", false, "run over a loopback TCP hub (one socket per agent)")
 		shards    = flag.Int("shards", 0, "split the -tcp hub across N relay listeners; 0 = one")
-		wireCodec = flag.String("wire-codec", "binary", "-tcp wire codec: binary or json (negotiated per connection)")
-		noBatch   = flag.Bool("wire-nobatch", false, "disable -tcp frame batching")
-		wireCRC   = flag.Bool("wire-crc", false, "arm the CRC32C frame trailer on -tcp binary connections (workers opt in with dcspnode -wire-crc)")
+		wireCRC   = flag.Bool("wire-crc", false, "arm the CRC32C frame trailer on -tcp connections (workers opt in with dcspnode -wire-crc)")
 		heartbeat = flag.Duration("heartbeat", 0, "-tcp liveness beacon period on every hub-node link; 0 = 500ms default, negative disables")
 		deadPeer  = flag.Duration("dead-peer", 0, "-tcp silence after which the hub declares a node dead; 0 = 4x the heartbeat period")
 		reconGr   = flag.Duration("reconnect-grace", 0, "how long the -tcp hub parks a dead node's frames awaiting its reconnection before failing the run; 0 = 3s default, negative fails immediately")
@@ -213,11 +211,7 @@ func run() error {
 		return fmt.Errorf("-shards, -tcp-listen, and -tcp-external need -tcp")
 	}
 	opts.TCPShards = *shards
-	opts.WireCodec = *wireCodec
-	opts.WireNoBatch = *noBatch
-	opts.WireChecksum = *wireCRC
-	opts.TCPHeartbeat = *heartbeat
-	opts.TCPDeadPeerTimeout = *deadPeer
+	opts.TCPTransport = discsp.TCPTransport{Checksum: *wireCRC, Heartbeat: *heartbeat, DeadPeerTimeout: *deadPeer}
 	opts.TCPReconnectGrace = *reconGr
 	opts.TCPExternal = *tcpExt
 	if *tcpListen != "" {
@@ -338,9 +332,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s (tcp): solved=%v insoluble=%v messages=%d checks=%d duration=%v binary_conns=%d%s\n",
+		fmt.Printf("%s (tcp): solved=%v insoluble=%v messages=%d checks=%d duration=%v%s\n",
 			opts.Algorithm, res.Solved, res.Insoluble, res.Messages, res.TotalChecks,
-			res.Duration, res.BinaryConns, res.Transport().Suffix())
+			res.Duration, res.Transport().Suffix())
 	case *useAsync:
 		res, err = discsp.SolveAsync(problem, opts)
 		if err != nil {

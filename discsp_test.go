@@ -2,7 +2,10 @@ package discsp_test
 
 import (
 	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/discsp/discsp"
 )
@@ -290,6 +293,71 @@ func TestSolveTCP(t *testing.T) {
 	}
 	if !inst.Problem.IsSolution(res.Assignment) {
 		t.Fatalf("assignment invalid")
+	}
+}
+
+// TestSolveTCPWorkerTransport runs a SolveTCP hub whose agents live in two
+// SolveTCPWorker goroutines, split by parity, that share the hub's Options.
+// Half of the hub's first delivery attempts are corrupted: on a link whose
+// worker armed the CRC trailer from Options.TCPTransport the receiver
+// detects and counts each one, while an unarmed link would turn every
+// corruption into a silent drop.
+func TestSolveTCPWorkerTransport(t *testing.T) {
+	inst, err := discsp.GenerateColoring(15, 40, 3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := discsp.Options{
+		InitialSeed:  11,
+		Timeout:      30 * time.Second,
+		FaultProfile: "corrupt=0.5",
+		FaultSeed:    9,
+		TCPShards:    2,
+		TCPExternal:  true,
+		TCPTransport: discsp.TCPTransport{Checksum: true},
+	}
+	var addrs []string
+	listening := make(chan struct{})
+	opts.TCPOnListen = func(a []string) {
+		addrs = a
+		close(listening)
+	}
+	// A hub that fails before it listens never calls TCPOnListen; hubDone
+	// releases the workers then.
+	hubDone := make(chan struct{})
+	var corrupt atomic.Int64
+	var wg sync.WaitGroup
+	for parity := 0; parity < 2; parity++ {
+		var vars []int
+		for v := parity; v < inst.Problem.NumVars(); v += 2 {
+			vars = append(vars, v)
+		}
+		wg.Add(1)
+		go func(vars []int) {
+			defer wg.Done()
+			select {
+			case <-listening:
+			case <-hubDone:
+				return
+			}
+			st, err := discsp.SolveTCPWorker(inst.Problem, opts, discsp.TCPWorkerOptions{Addrs: addrs, Vars: vars})
+			if err != nil {
+				t.Errorf("worker %v: %v", vars, err)
+			}
+			corrupt.Add(st.CorruptFrames)
+		}(vars)
+	}
+	res, err := discsp.SolveTCP(inst.Problem, opts)
+	close(hubDone)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("SolveTCP: %v (res=%+v)", err, res)
+	}
+	if !res.Solved || !inst.Problem.IsSolution(res.Assignment) {
+		t.Fatalf("not solved: %+v", res)
+	}
+	if corrupt.Load() == 0 {
+		t.Errorf("workers counted no corrupt frames: their links did not arm the checksum")
 	}
 }
 

@@ -203,19 +203,14 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		rt.storeGauges = make([]*telemetry.Gauge, n)
 		metrics := make([]telemetry.StoreMetrics, n)
 		for v := 0; v < n; v++ {
-			label := strconv.Itoa(v)
-			rt.storeGauges[v] = reg.Gauge(telemetry.Name("discsp_store_nogoods", "agent", label))
-			metrics[v] = telemetry.StoreMetrics{
-				Size:      rt.storeGauges[v],
-				Lengths:   reg.Histogram(telemetry.Name("discsp_learned_nogood_len", "agent", label), telemetry.NogoodLenBuckets),
-				Evictions: reg.Counter(telemetry.Name("discsp_store_evictions", "agent", label)),
-			}
+			metrics[v] = telemetry.AgentStoreMetrics(reg, v)
+			rt.storeGauges[v] = metrics[v].Size
 		}
 		rt.queueHist = reg.Histogram("discsp_queue_depth", telemetry.QueueDepthBuckets)
 		orig := makeAgent
 		rt.makeAgent = func(v csp.Var) sim.Agent {
 			a := orig(v)
-			if ia, ok := a.(instrumented); ok {
+			if ia, ok := a.(telemetry.Instrumented); ok {
 				ia.Instrument(metrics[v])
 			}
 			return a
@@ -361,15 +356,6 @@ type runtime struct {
 // before this read.
 func (rt *runtime) agentsFinal() []sim.Agent { return rt.agents }
 
-// instrumented is implemented by agents whose nogood store accepts
-// telemetry hooks (core, abt, breakout).
-type instrumented interface {
-	Instrument(telemetry.StoreMetrics)
-}
-
-// storeSizer is implemented by agents exposing their nogood-store size.
-type storeSizer interface{ StoreSize() int }
-
 // emitFinal records the run's totals: one agent event per variable at the
 // end-of-run quiescence point (every agent goroutine has stopped, so the
 // non-atomic Checks counters are safe to read), the delivery/check/transport
@@ -387,7 +373,7 @@ func (rt *runtime) emitFinal(res Result) {
 			Checks:         a.Checks(),
 			AgentProcessed: rt.processed[v].Load(),
 		}
-		if ss, ok := a.(storeSizer); ok {
+		if ss, ok := a.(telemetry.StoreSizer); ok {
 			ev.StoreSize = int64(ss.StoreSize())
 		}
 		rt.tel.Emit(ev)

@@ -14,7 +14,6 @@ import (
 	"github.com/discsp/discsp/internal/netrun"
 	"github.com/discsp/discsp/internal/sim"
 	"github.com/discsp/discsp/internal/telemetry"
-	"github.com/discsp/discsp/internal/wire"
 )
 
 // RuntimeResult is one runtime's outcome on one instance.
@@ -50,14 +49,11 @@ func CompareRuntimes(problem *csp.Problem, initial csp.SliceAssignment, learning
 	return CompareRuntimesWith(problem, initial, learning, timeout, fcfg, TCPOptions{})
 }
 
-// TCPOptions carries the tcp leg's wire-scaling knobs: relay shard count,
-// wire codec (zero value = binary), and the batching kill-switch. The
-// verdict and message count are invariant across all of them; the transport
-// byte/batch counters show what each choice costs.
+// TCPOptions carries the tcp leg's options: the relay shard count, whose
+// choice leaves the verdict and message count unchanged, and causal
+// tracing.
 type TCPOptions struct {
-	Shards  int
-	Codec   wire.Codec
-	NoBatch bool
+	Shards int
 	// Causal, when non-nil, causally traces the tcp leg (the leg whose
 	// transit edges cross real sockets) into this stream: meta, the span
 	// events, and the leg's end verdict. The sync and async legs run
@@ -65,7 +61,7 @@ type TCPOptions struct {
 	Causal *telemetry.Run
 }
 
-// CompareRuntimesWith is CompareRuntimes with explicit tcp wire options.
+// CompareRuntimesWith is CompareRuntimes with explicit tcp options.
 func CompareRuntimesWith(problem *csp.Problem, initial csp.SliceAssignment, learning core.Learning, timeout time.Duration, fcfg *faults.Config, tcp TCPOptions) ([]RuntimeResult, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -127,8 +123,6 @@ func CompareRuntimesWith(problem *csp.Problem, initial csp.SliceAssignment, lear
 		Timeout: timeout,
 		Faults:  fcfg,
 		Shards:  tcp.Shards,
-		Codec:   tcp.Codec,
-		NoBatch: tcp.NoBatch,
 		Causal:  tracer,
 	})
 	if err != nil {

@@ -29,58 +29,78 @@ func (a *recordingAgent) Step(in []sim.Message) []sim.Message {
 	return nil
 }
 
-// TestNodeStepsOncePerReadGroup plays the hub against one node: three ok?
-// messages from three links arrive in one batch frame, so the node must
-// step once on all three and answer with one ack per link and one state
-// report counting all three.
-func TestNodeStepsOncePerReadGroup(t *testing.T) {
+// fakeHub plays the hub's end of one node's connection: fr and fw are the
+// accepted socket's reader and writer, still in JSON, the handshake
+// encoding, and nodeErr receives runNode's result.
+type fakeHub struct {
+	t       *testing.T
+	fr      *wire.FrameReader
+	fw      *wire.FrameWriter
+	nodeErr chan error
+}
+
+// startFakeHub runs one in-process node for agent against a fake hub and
+// returns the hub's end once the node has dialed in.
+func startFakeHub(t *testing.T, agent sim.Agent) *fakeHub {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	agent := &recordingAgent{}
 	runDone := make(chan struct{})
-	defer close(runDone)
-	nodeErr := make(chan error, 1)
+	t.Cleanup(func() { close(runDone) })
+	f := &fakeHub{t: t, nodeErr: make(chan error, 1)}
 	go func() {
 		_, err := runNode(nodeConfig{
 			addr:      ln.Addr().String(),
 			makeAgent: func(csp.Var) sim.Agent { return agent },
-			codec:     wire.CodecBinary,
 			ctr:       &nodeCounters{},
 			done:      runDone,
 		}, 0)
-		nodeErr <- err
+		f.nodeErr <- err
 	}()
-
 	conn, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
-	next := func() wire.Envelope {
-		t.Helper()
-		e, err := fr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
+	f.fr, f.fw = wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
+	return f
+}
+
+func (f *fakeHub) next() wire.Envelope {
+	f.t.Helper()
+	e, err := f.fr.Next()
+	if err != nil {
+		f.t.Fatal(err)
 	}
-	send := func(e wire.Envelope) {
-		t.Helper()
-		if err := fw.Send(&e); err != nil {
-			t.Fatal(err)
-		}
+	return e
+}
+
+func (f *fakeHub) send(e wire.Envelope) {
+	f.t.Helper()
+	if err := f.fw.Send(&e); err != nil {
+		f.t.Fatal(err)
 	}
-	flush := func() {
-		t.Helper()
-		if err := fw.Flush(); err != nil {
-			t.Fatal(err)
-		}
+}
+
+func (f *fakeHub) flush() {
+	f.t.Helper()
+	if err := f.fw.Flush(); err != nil {
+		f.t.Fatal(err)
 	}
+}
+
+// TestNodeStepsOncePerReadGroup plays the hub against one node: three ok?
+// messages from three links arrive in one batch frame, so the node must
+// step once on all three and answer with one ack per link and one state
+// report counting all three.
+func TestNodeStepsOncePerReadGroup(t *testing.T) {
+	agent := &recordingAgent{}
+	fh := startFakeHub(t, agent)
+	fr, fw, next, send, flush := fh.fr, fh.fw, fh.next, fh.send, fh.flush
 
 	if e := next(); e.Type != wire.TypeHello {
 		t.Fatalf("first frame %+v, want a hello", e)
@@ -130,7 +150,7 @@ func TestNodeStepsOncePerReadGroup(t *testing.T) {
 		}
 		t.Errorf("frame after the group's replies: %+v", e)
 	}
-	if err := <-nodeErr; err != nil {
+	if err := <-fh.nodeErr; err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{3}; !reflect.DeepEqual(agent.steps, want) {
@@ -139,12 +159,12 @@ func TestNodeStepsOncePerReadGroup(t *testing.T) {
 }
 
 // TestRelayGroupsFramesPerRead pins the hub half: a hello travels alone
-// (the codec switches inline after it), and three frames a node wrote in
-// one flush reach the route loop's channel as one group, in order.
+// (the reader switches to binary inline after it), and three frames a node
+// wrote in one flush reach the route loop's channel as one group, in order.
 func TestRelayGroupsFramesPerRead(t *testing.T) {
 	hubEnd, nodeEnd := net.Pipe()
 	defer nodeEnd.Close()
-	h := &hub{codec: wire.CodecBinary, frames: make(chan []inFrame, 4), stop: make(chan struct{})}
+	h := &hub{frames: make(chan []inFrame, 4), stop: make(chan struct{})}
 	defer close(h.stop)
 	rc := &relayConn{conn: hubEnd, fr: wire.NewFrameReader(hubEnd), node: -1}
 	go func() {
@@ -170,7 +190,7 @@ func TestRelayGroupsFramesPerRead(t *testing.T) {
 	if err := fw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if g := group(); len(g) != 1 || g[0].env.Type != wire.TypeHello || g[0].env.Codec != "binary" {
+	if g := group(); len(g) != 1 || g[0].env.Type != wire.TypeHello {
 		t.Fatalf("hello group = %+v", g)
 	}
 

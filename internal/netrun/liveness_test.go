@@ -471,10 +471,9 @@ func TestDeadPeerDetection(t *testing.T) {
 			// dead-peer bound is deliberately much shorter than the workers'
 			// (2s): the hub always detects first and severs, which is the
 			// path under test.
-			Heartbeat:       25 * time.Millisecond,
-			DeadPeerTimeout: 150 * time.Millisecond,
-			ReconnectGrace:  10 * time.Second,
-			OnListen:        func(addrs []string) { addrsCh <- addrs },
+			Transport:      Transport{Heartbeat: 25 * time.Millisecond, DeadPeerTimeout: 150 * time.Millisecond},
+			ReconnectGrace: 10 * time.Second,
+			OnListen:       func(addrs []string) { addrsCh <- addrs },
 		})
 		hubCh <- hubOut{res, err}
 	}()
@@ -485,11 +484,10 @@ func TestDeadPeerDetection(t *testing.T) {
 	workerErr := make(chan error, 1)
 	go func() {
 		_, err := RunWorker(inst.Problem, maker, WorkerOptions{
-			Addrs:           []string{px.addr()},
-			Vars:            allVars(inst.Problem.NumVars()),
-			ConnectTimeout:  10 * time.Second,
-			Heartbeat:       25 * time.Millisecond,
-			DeadPeerTimeout: 2 * time.Second,
+			Addrs:          []string{px.addr()},
+			Vars:           allVars(inst.Problem.NumVars()),
+			ConnectTimeout: 10 * time.Second,
+			Transport:      Transport{Heartbeat: 25 * time.Millisecond, DeadPeerTimeout: 2 * time.Second},
 		})
 		workerErr <- err
 	}()
@@ -584,9 +582,9 @@ func TestCorruptFramesRecoveredByCRC(t *testing.T) {
 	res, err := Run(inst.Problem, func(v csp.Var) sim.Agent {
 		return core.NewAgent(v, inst.Problem, init[v], core.Learning{Kind: core.LearnResolvent})
 	}, Options{
-		Timeout:  60 * time.Second,
-		Checksum: true,
-		Faults:   &corruptFirstAttempts,
+		Timeout:   60 * time.Second,
+		Transport: Transport{Checksum: true},
+		Faults:    &corruptFirstAttempts,
 	})
 	if err != nil {
 		t.Fatalf("run: %v (res=%+v)", err, res)
@@ -621,9 +619,9 @@ func TestCorruptFramesAcrossCrashRestart(t *testing.T) {
 	res, err := Run(inst.Problem, func(v csp.Var) sim.Agent {
 		return core.NewAgent(v, inst.Problem, init[v], core.Learning{Kind: core.LearnResolvent})
 	}, Options{
-		Timeout:  60 * time.Second,
-		Checksum: true,
-		Faults:   &fcfg,
+		Timeout:   60 * time.Second,
+		Transport: Transport{Checksum: true},
+		Faults:    &fcfg,
 	})
 	if err != nil {
 		t.Fatalf("run: %v (res=%+v)", err, res)
@@ -672,7 +670,7 @@ func TestLivenessDisabled(t *testing.T) {
 	p, init := ringProblem(t, 6)
 	res, err := Run(p, awcMaker(p, init), Options{
 		Timeout:   30 * time.Second,
-		Heartbeat: -1,
+		Transport: Transport{Heartbeat: -1},
 	})
 	if err != nil {
 		t.Fatalf("run: %v (res=%+v)", err, res)
@@ -682,5 +680,25 @@ func TestLivenessDisabled(t *testing.T) {
 	}
 	if res.HeartbeatTimeouts != 0 || res.Reconnects != 0 {
 		t.Errorf("liveness counters nonzero with liveness disabled: %+v", res)
+	}
+}
+
+// TestTransportLiveness pins the one resolver the hub and the workers share
+// for the liveness timers.
+func TestTransportLiveness(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		tr           Transport
+		hb, deadPeer time.Duration
+	}{
+		{"zero value", Transport{}, 500 * time.Millisecond, 2 * time.Second},
+		{"negative heartbeat", Transport{Heartbeat: -1}, 0, 0},
+		{"explicit dead-peer", Transport{Heartbeat: 25 * time.Millisecond, DeadPeerTimeout: 2 * time.Second}, 25 * time.Millisecond, 2 * time.Second},
+		{"dead-peer from heartbeat", Transport{Heartbeat: 25 * time.Millisecond}, 25 * time.Millisecond, 100 * time.Millisecond},
+	} {
+		hb, deadPeer := tc.tr.liveness()
+		if hb != tc.hb || deadPeer != tc.deadPeer {
+			t.Errorf("%s: liveness() = %v, %v; want %v, %v", tc.name, hb, deadPeer, tc.hb, tc.deadPeer)
+		}
 	}
 }

@@ -15,17 +15,16 @@
 // hub process (the default) or in external worker processes (RunWorker,
 // cmd/dcspnode) that dial the relay addresses.
 //
-// Frames travel in a negotiated codec: each node's hello names the codec it
-// wants, the hub's welcome names the result (binary unless either side asks
-// for the JSON fallback), and both directions switch after the JSON
-// handshake. Steady-state frames are batched: writers coalesce frames into
-// size-bounded batch frames carrying one cumulative-ack watermark per link,
-// flushed whenever the sender's queue drains (see internal/wire). Reads are
-// grouped the same way: the hub's relays and each node hand over every
-// frame one socket read delivered as one group, so the hub routes the whole
-// group before its idle flush and a node steps its agent once on everything
-// the group released, then answers with one write group (output, one ack
-// per link, one state report) and one flush.
+// Every connection opens with a JSON hello and welcome, after which both
+// directions switch to the binary codec. Steady-state frames are batched:
+// writers coalesce frames into size-bounded batch frames carrying one
+// cumulative-ack watermark per link, flushed whenever the sender's queue
+// drains (see internal/wire). Reads are grouped the same way: the hub's
+// relays and each node hand over every frame one socket read delivered as
+// one group, so the hub routes the whole group before its idle flush and a
+// node steps its agent once on everything the group released, then answers
+// with one write group (output, one ack per link, one state report) and
+// one flush.
 //
 // The transport is reliable end-to-end: nodes stamp per-link sequence
 // numbers (wire.SendLink), retransmit on exponential backoff until the
@@ -35,7 +34,7 @@
 // adversarial network (Options.Faults): deterministic drop, duplication,
 // and delay of algorithm frames, plus scheduled node crashes. The fault
 // schedule is keyed on logical links (from, to, seq, attempt), so it is
-// invariant under sharding and codec choice. A crash-scheduled node
+// invariant under sharding and the checksum setting. A crash-scheduled node
 // checkpoints its durable state (agent snapshot, both halves of every
 // reliable link) before acknowledging each step, so a restarted node
 // re-registers with the hub, replays the checkpoint, and the run completes
@@ -156,14 +155,6 @@ type Options struct {
 	// shard v mod Shards. Sharding changes no routing decision: the verdict
 	// and every message counter are identical across shard counts.
 	Shards int
-	// Codec is the wire codec the hub offers (zero value = binary). A node
-	// requesting JSON always gets it — negotiation falls back per
-	// connection — and CodecJSON here forces the fallback hub-wide.
-	Codec wire.Codec
-	// NoBatch disables frame batching on hub and in-process node writers;
-	// every frame is written and flushed individually, the pre-batching
-	// behavior.
-	NoBatch bool
 	// Listen binds each relay to a fixed address ("host:port") instead of a
 	// loopback ephemeral port; required for external worker processes on
 	// known addresses. When non-empty it determines the shard count, which
@@ -173,27 +164,19 @@ type Options struct {
 	// external workers (RunWorker / cmd/dcspnode) own the agents. The run
 	// then solves only once every variable's worker has dialed in.
 	External bool
-	// Heartbeat is the liveness beacon period: the hub beats every
-	// registered connection and expects some traffic (a beat at minimum)
-	// from every node within DeadPeerTimeout. 0 means 500ms; negative
-	// disables liveness entirely.
-	Heartbeat time.Duration
-	// DeadPeerTimeout is how long a registered node may stay silent before
-	// the hub declares it dead — severing the connection and starting the
-	// reconnect grace clock on external runs, recording a heartbeat timeout
-	// for the watchdog either way. 0 means 4× the heartbeat period.
-	DeadPeerTimeout time.Duration
+	// Transport configures the hub's side of every link, and the
+	// in-process nodes' side too; external workers should be given the
+	// same value. A node silent for DeadPeerTimeout is declared dead: the
+	// hub severs an external node's connection and starts its reconnect
+	// grace clock, and records a heartbeat timeout for the watchdog either
+	// way.
+	Transport
 	// ReconnectGrace is how long the hub parks an unreachable node's
 	// frames awaiting its re-hello before failing the run with ErrNodeDown.
 	// 0 means 3s; negative fails immediately on the first failed write
 	// (the pre-reconnection behavior). Nodes the fault schedule will
 	// restart are exempt — their frames park until the scheduled rejoin.
 	ReconnectGrace time.Duration
-	// Checksum arms the CRC32C frame trailer on binary connections whose
-	// hello requests it: every steady-state frame carries a 4-byte trailer,
-	// and a frame damaged in flight is detected, dropped, and recovered by
-	// the sender's retransmission instead of corrupting the decode.
-	Checksum bool
 	// OnListen, when non-nil, is called once with the bound relay addresses
 	// in shard order, before any node starts. Tests and in-process callers
 	// use it to learn ephemeral addresses; cmd binaries print them.
@@ -254,9 +237,6 @@ type Result struct {
 	// BatchedFrames counts frames that crossed the hub's sockets inside
 	// coalesced batch frames, both directions summed.
 	BatchedFrames int64
-	// BinaryConns counts node connections whose negotiated codec was
-	// binary; the rest fell back to JSON.
-	BinaryConns int64
 }
 
 // Reliable-transport tuning for the node loops. The base is far above a
@@ -278,6 +258,46 @@ const (
 	defaultHeartbeat      = 500 * time.Millisecond
 	defaultReconnectGrace = 3 * time.Second
 )
+
+// Transport is the link configuration a hub and its nodes share. Options
+// and WorkerOptions both embed it, so one value configures either side.
+type Transport struct {
+	// Checksum arms the CRC32C frame trailer. A node's hello requests it,
+	// and the hub's welcome confirms it when the hub armed it too. Every
+	// steady-state frame then carries a 4-byte trailer, and a frame damaged
+	// in flight is detected, dropped, and recovered by the sender's
+	// retransmission instead of corrupting the decode.
+	Checksum bool
+	// Heartbeat is the idle-link beacon period: the hub beats every
+	// registered connection and each node beats its link. 0 means 500ms;
+	// negative disables both the beacon and dead-peer detection on this
+	// side of the link.
+	Heartbeat time.Duration
+	// DeadPeerTimeout is how long a peer may stay silent before it is
+	// declared dead: the hub's bound on a node, and a worker node's bound
+	// on the hub, after which the node abandons its connection and
+	// redials. 0 means 4× the heartbeat period.
+	DeadPeerTimeout time.Duration
+}
+
+// liveness resolves the heartbeat period and the dead-peer bound, where 0
+// means off: a zero heartbeat means defaultHeartbeat, a negative one turns
+// both off, and a zero dead-peer bound means 4 heartbeats.
+func (t Transport) liveness() (heartbeat, deadPeer time.Duration) {
+	switch {
+	case t.Heartbeat < 0:
+		return 0, 0
+	case t.Heartbeat == 0:
+		heartbeat = defaultHeartbeat
+	default:
+		heartbeat = t.Heartbeat
+	}
+	deadPeer = t.DeadPeerTimeout
+	if deadPeer <= 0 {
+		deadPeer = 4 * heartbeat
+	}
+	return heartbeat, deadPeer
+}
 
 // Frame-batching bounds for hub and node writers. Latency is bounded by
 // flush-on-idle (senders flush whenever their queue drains), so the size
@@ -310,15 +330,6 @@ type nodeCounters struct {
 	checks []atomic.Int64
 	stores []atomic.Int64
 }
-
-// instrumented is implemented by agents whose nogood store accepts
-// telemetry hooks (core, abt, breakout).
-type instrumented interface {
-	Instrument(telemetry.StoreMetrics)
-}
-
-// storeSizer is implemented by agents exposing their nogood-store size.
-type storeSizer interface{ StoreSize() int }
 
 // Run executes one agent node per problem variable against a loopback TCP
 // hub. makeAgent builds the algorithm-specific agent per variable; it is
@@ -356,17 +367,7 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		inj = faults.New(*opts.Faults)
 		ckpts = faults.NewCheckpoints()
 	}
-	heartbeat := opts.Heartbeat
-	if heartbeat == 0 {
-		heartbeat = defaultHeartbeat
-	}
-	if heartbeat < 0 {
-		heartbeat = 0 // liveness off
-	}
-	deadPeer := opts.DeadPeerTimeout
-	if deadPeer <= 0 {
-		deadPeer = 4 * heartbeat
-	}
+	heartbeat, deadPeer := opts.liveness()
 	grace := opts.ReconnectGrace
 	if grace == 0 {
 		grace = defaultReconnectGrace
@@ -406,8 +407,6 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		inj:       inj,
 		cadence:   cadence,
 		tel:       opts.Telemetry,
-		codec:     opts.Codec,
-		noBatch:   opts.NoBatch,
 		nShards:   nShards,
 		forwarded: make([]int64, nShards),
 
@@ -442,18 +441,13 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		hub.storeGauges = make([]*telemetry.Gauge, n)
 		metrics := make([]telemetry.StoreMetrics, n)
 		for v := 0; v < n; v++ {
-			label := strconv.Itoa(v)
-			hub.storeGauges[v] = reg.Gauge(telemetry.Name("discsp_store_nogoods", "agent", label))
-			metrics[v] = telemetry.StoreMetrics{
-				Size:      hub.storeGauges[v],
-				Lengths:   reg.Histogram(telemetry.Name("discsp_learned_nogood_len", "agent", label), telemetry.NogoodLenBuckets),
-				Evictions: reg.Counter(telemetry.Name("discsp_store_evictions", "agent", label)),
-			}
+			metrics[v] = telemetry.AgentStoreMetrics(reg, v)
+			hub.storeGauges[v] = metrics[v].Size
 		}
 		orig := makeAgent
 		makeAgent = func(v csp.Var) sim.Agent {
 			a := orig(v)
-			if ia, ok := a.(instrumented); ok {
+			if ia, ok := a.(telemetry.Instrumented); ok {
 				ia.Instrument(metrics[v])
 			}
 			return a
@@ -488,8 +482,6 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 					addr:      addrs[shardOf(v, nShards)],
 					v:         csp.Var(v),
 					makeAgent: makeAgent,
-					codec:     opts.Codec,
-					noBatch:   opts.NoBatch,
 					crc:       opts.Checksum,
 					causal:    opts.Causal,
 					hb:        heartbeat,
@@ -553,7 +545,6 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 	res.HeartbeatTimeouts = hub.hbTimeouts
 	res.Partitioned = hub.partitioned
 	res.PartitionHeals = inj.HealedBy(res.Duration)
-	res.BinaryConns = hub.binaryConns
 	for v := range ctr.checks {
 		res.TotalChecks += ctr.checks[v].Load()
 	}
@@ -664,8 +655,6 @@ type hub struct {
 	reconnects   int64
 	hbTimeouts   int64
 
-	codec   wire.Codec
-	noBatch bool
 	nShards int
 	// dirty tracks connections with unflushed writes; the route loop
 	// flushes them whenever its queue drains, which is the batching
@@ -675,8 +664,7 @@ type hub struct {
 	// node homed on another shard, indexed by the arrival shard. The route
 	// loop sees every frame exactly once, so a forwarded frame can never be
 	// double-counted into messages or the retransmit/duplicate counters.
-	forwarded   []int64
-	binaryConns int64
+	forwarded []int64
 
 	// allConns is every accepted connection (including replaced ones after
 	// a crash), appended by the accept loops and swept for byte totals
@@ -987,15 +975,15 @@ func (h *hub) handle(f inFrame, reported map[int]bool) (bool, Result, error) {
 	return false, Result{}, h.send(e)
 }
 
-// register completes one node's handshake on the route loop: reply with the
-// negotiated codec and checksum decision (still in JSON, the handshake
-// encoding), switch the writer, enable batching, record the connection, and
-// drain any frames that queued while the node was unregistered (the node's
-// reorder buffer handles staleness). A re-hello replaces the node's old
-// connection; one without the resume flag is a cold process relaunch, which
-// additionally resets the node's links everywhere (see coldReset). A hello
-// on a connection accepted before the node's registered one is stale and
-// closes its connection instead.
+// register completes one node's handshake on the route loop: reply with a
+// welcome naming the binary codec and the checksum decision (still in JSON,
+// the handshake encoding), switch the writer to binary with batching,
+// record the connection, and drain any frames that queued while the node
+// was unregistered (the node's reorder buffer handles staleness). A
+// re-hello replaces the node's old connection; one without the resume flag
+// is a cold process relaunch, which additionally resets the node's links
+// everywhere (see coldReset). A hello on a connection accepted before the
+// node's registered one is stale and closes its connection instead.
 func (h *hub) register(rc *relayConn, hello wire.Envelope) error {
 	from := hello.From
 	if rc.order < h.helloOrder[from] {
@@ -1007,17 +995,15 @@ func (h *hub) register(rc *relayConn, hello wire.Envelope) error {
 		return nil
 	}
 	h.helloOrder[from] = rc.order
-	neg, err := wire.ParseCodec(hello.Codec)
-	if err != nil {
-		neg = wire.CodecJSON // unknown request: the safe common ground
-	}
-	crcOn := h.checksum && hello.Crc && neg == wire.CodecBinary
+	// The welcome names binary whatever codec the hello asked for; a node
+	// switches to the codec its welcome names.
+	crcOn := h.checksum && hello.Crc
 	causalOn := h.causalOn && hello.Causal
-	welcome := wire.Envelope{Type: wire.TypeWelcome, To: from, Codec: neg.String(), Crc: crcOn, Causal: causalOn}
+	welcome := wire.Envelope{Type: wire.TypeWelcome, To: from, Codec: wire.CodecBinary.String(), Crc: crcOn, Causal: causalOn}
 	if err := rc.fw.Send(&welcome); err != nil {
 		return h.writeFailed(rc, from, err)
 	}
-	if err := rc.fw.SetCodec(neg); err != nil {
+	if err := rc.fw.SetCodec(wire.CodecBinary); err != nil {
 		return h.writeFailed(rc, from, err)
 	}
 	if crcOn {
@@ -1028,12 +1014,7 @@ func (h *hub) register(rc *relayConn, hello wire.Envelope) error {
 		// Trace IDs relay through: frames toward this node keep TSeq.
 		rc.fw.EnableCausal()
 	}
-	if !h.noBatch {
-		rc.fw.EnableBatching(batchMaxFrames, batchMaxBytes)
-	}
-	if neg == wire.CodecBinary {
-		h.binaryConns++
-	}
+	rc.fw.EnableBatching(batchMaxFrames, batchMaxBytes)
 	rc.node = from
 	old := h.conns[from]
 	h.conns[from] = rc

@@ -1,6 +1,6 @@
 // The node side of the transport: one goroutine (or worker process) per
-// agent, dialing its shard's relay, negotiating a codec (and optionally the
-// CRC32C frame trailer), and running the agent against the socket with
+// agent, dialing its shard's relay, handshaking (and optionally requesting
+// the CRC32C frame trailer), and running the agent against the socket with
 // reliable links, crash checkpoints, and — for external workers —
 // reconnection: a node that loses its connection mid-solve redials on
 // jittered backoff, re-hellos with the resume flag, and replays its unacked
@@ -20,6 +20,7 @@ import (
 	"github.com/discsp/discsp/internal/csp"
 	"github.com/discsp/discsp/internal/faults"
 	"github.com/discsp/discsp/internal/sim"
+	"github.com/discsp/discsp/internal/telemetry"
 	"github.com/discsp/discsp/internal/wire"
 )
 
@@ -28,8 +29,6 @@ type nodeConfig struct {
 	addr      string // the node's shard relay address
 	v         csp.Var
 	makeAgent func(v csp.Var) sim.Agent
-	codec     wire.Codec // requested in the hello; the welcome decides
-	noBatch   bool
 	crc       bool           // request the CRC32C frame trailer in the hello
 	causal    *causal.Tracer // non-nil requests causal tracing in the hello
 	hb        time.Duration  // idle-link heartbeat period; 0 disables
@@ -234,7 +233,7 @@ func runNode(cfg nodeConfig, incarnation int) (bool, error) {
 			ctr.checks[int(v)].Store(agent.Checks())
 		}
 		if ctr.stores != nil && int(v) < len(ctr.stores) {
-			if ss, ok := agent.(storeSizer); ok {
+			if ss, ok := agent.(telemetry.StoreSizer); ok {
 				ctr.stores[int(v)].Store(int64(ss.StoreSize()))
 			}
 		}
@@ -347,8 +346,8 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	}
 
 	// One writer and one reader own the socket. Both start in JSON (the
-	// handshake encoding) and switch together once the welcome names the
-	// negotiated codec. Every write group below ends with a Flush — that is
+	// handshake encoding) and switch to binary together once the welcome
+	// arrives. Every write group below ends with a Flush — that is
 	// the batch boundary: a step's outputs, ack, and state report coalesce
 	// into one batch frame.
 	fw := wire.NewFrameWriter(conn)
@@ -393,15 +392,15 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 		cfg.ckpts.Save(int(v), cp)
 	}
 
-	// Handshake: hello (with the requested codec, checksum bid, and — when
-	// this node carries live state from a checkpoint or a previous session
-	// — the resume flag), then block on the welcome before anything else
-	// crosses the socket, so the codec and checksum switch points are
-	// unambiguous on both sides. A hello without resume after a previous
-	// registration tells the hub this is a cold relaunch: it resets the
-	// node's links everywhere.
+	// Handshake: hello (with the checksum bid and — when this node carries
+	// live state from a checkpoint or a previous session — the resume
+	// flag), then block on the welcome before anything else crosses the
+	// socket, so the codec and checksum switch points are unambiguous on
+	// both sides. A hello without resume after a previous registration
+	// tells the hub this is a cold relaunch: it resets the node's links
+	// everywhere.
 	resume := st.restored || session > 0
-	hello := wire.Envelope{Type: wire.TypeHello, From: int(v), Codec: cfg.codec.String(),
+	hello := wire.Envelope{Type: wire.TypeHello, From: int(v), Codec: wire.CodecBinary.String(),
 		Crc: cfg.crc, Causal: cfg.causal != nil, Resume: resume}
 	failHello := func(err error) (sessionEnd, error) {
 		end, err := fail(err)
@@ -440,12 +439,11 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	default:
 		return endStop, fmt.Errorf("node %d: expected welcome, got %q", v, welcome.Type)
 	}
-	neg, err := wire.ParseCodec(welcome.Codec)
-	if err != nil {
-		return endStop, fmt.Errorf("node %d: welcome names unknown codec: %w", v, err)
+	if welcome.Codec != wire.CodecBinary.String() {
+		return endStop, fmt.Errorf("node %d: welcome names codec %q, want %q", v, welcome.Codec, wire.CodecBinary)
 	}
-	fr.SetCodec(neg)
-	if err := fw.SetCodec(neg); err != nil {
+	fr.SetCodec(wire.CodecBinary)
+	if err := fw.SetCodec(wire.CodecBinary); err != nil {
 		return fail(err)
 	}
 	if welcome.Crc {
@@ -463,9 +461,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	if welcome.Causal {
 		fw.EnableCausal()
 	}
-	if !cfg.noBatch {
-		fw.EnableBatching(batchMaxFrames, batchMaxBytes)
-	}
+	fw.EnableBatching(batchMaxFrames, batchMaxBytes)
 
 	now := time.Now()
 	// A resumed session replays; so does a restored one. A node whose

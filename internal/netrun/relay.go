@@ -42,7 +42,7 @@ type relayConn struct {
 	node  int  // registered node id; -1 until the hello is processed
 	order int  // accept order across the run's relays, from 1
 	dirty bool // buffered writes awaiting the route loop's idle flush
-	crcOn bool // CRC32C trailer negotiated on this connection
+	crcOn bool // CRC32C trailer confirmed on this connection
 }
 
 // acceptLoop accepts connections on one relay until its listener closes,
@@ -118,22 +118,18 @@ func readGroups[T any](fr *wire.FrameReader, frame func(wire.Envelope) T, delive
 // group per socket read, so the route loop routes a whole group before its
 // idle flush. All frames — including hello — go through the channel so
 // that connection registration happens on the single-threaded route loop.
-// The one thing decided here is codec negotiation: the reader must switch
+// The one thing done here is the switch to binary: the reader must switch
 // before the next read, and the node sends nothing after its hello until
-// the welcome arrives, so the switch point is unambiguous. The negotiated
-// name rides to the route loop on the hello's Codec field.
+// the welcome arrives, so the switch point is unambiguous.
 func (h *hub) readLoop(rc *relayConn) {
 	readGroups(rc.fr, func(env wire.Envelope) inFrame {
 		if env.Type == wire.TypeHello {
-			neg := negotiate(h.codec, env.Codec)
-			rc.fr.SetCodec(neg)
-			if h.checksum && env.Crc && neg == wire.CodecBinary {
-				// The node sends nothing after its hello until the welcome
-				// confirms the trailer, so arming the reader here is safe —
-				// exactly like the codec switch above.
+			rc.fr.SetCodec(wire.CodecBinary)
+			if h.checksum && env.Crc {
+				// The welcome confirms the trailer, and the node sends
+				// nothing before it, so the reader arms with the switch.
 				rc.fr.EnableChecksum()
 			}
-			env.Codec = neg.String()
 		}
 		return inFrame{env: env, src: rc}
 	}, func(g []inFrame) bool {
@@ -144,15 +140,4 @@ func (h *hub) readLoop(rc *relayConn) {
 			return false
 		}
 	})
-}
-
-// negotiate picks one connection's codec: binary unless either side asks
-// for the JSON fallback. An unrecognized request also falls back to JSON —
-// the handshake already proved the peer speaks it.
-func negotiate(hub wire.Codec, requested string) wire.Codec {
-	req, err := wire.ParseCodec(requested)
-	if err != nil || hub == wire.CodecJSON || req == wire.CodecJSON {
-		return wire.CodecJSON
-	}
-	return wire.CodecBinary
 }

@@ -10,9 +10,9 @@ import (
 
 // TestScaleSmoke1k is the CI scale-smoke job's 1k-agent solve: a
 // 1024-agent 3-colorable ring started from the all-zero assignment (every
-// edge violated), solved over 4 sharded relays with the binary codec and
-// batching. Gated behind SCALE_SMOKE=1 because it opens ~2k real TCP
-// connections and is sized for the dedicated CI job, not `go test ./...`.
+// edge violated), solved over 4 sharded relays. Gated behind SCALE_SMOKE=1
+// because it opens ~2k real TCP connections and is sized for the dedicated
+// CI job, not `go test ./...`.
 func TestScaleSmoke1k(t *testing.T) {
 	if os.Getenv("SCALE_SMOKE") == "" {
 		t.Skip("set SCALE_SMOKE=1 to run the 1k-agent sharded smoke")
@@ -31,9 +31,6 @@ func TestScaleSmoke1k(t *testing.T) {
 	}
 	if !res.Solved {
 		t.Fatalf("1k ring not solved: insoluble=%v quiescent=%v", res.Insoluble, res.Quiescent)
-	}
-	if res.BinaryConns != n {
-		t.Errorf("BinaryConns = %d, want %d (all nodes negotiate binary)", res.BinaryConns, n)
 	}
 	if res.BatchedFrames == 0 {
 		t.Error("BatchedFrames = 0, want batching active at this scale")

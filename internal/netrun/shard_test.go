@@ -3,6 +3,7 @@ package netrun
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +21,8 @@ import (
 // (consistent) initial assignment. The instance is already solved, so no
 // agent ever changes value: the run's unique-message count is exactly the
 // init fan-out, making Messages and the final assignment deterministic
-// across codecs, shard counts, and batching — the metric-identity fixture.
+// across shard counts and the checksum setting — the metric-identity
+// fixture.
 func ringProblem(t *testing.T, n int) (*csp.Problem, csp.SliceAssignment) {
 	t.Helper()
 	if n%2 != 0 {
@@ -43,24 +45,25 @@ func awcMaker(p *csp.Problem, init csp.SliceAssignment) func(csp.Var) sim.Agent 
 	}
 }
 
-// matrixConfig is one (codec, shards) cell of the equivalence matrix.
+// matrixConfig is one (checksum, shards) cell of the equivalence matrix:
+// plain binary frames, or binary frames with the CRC32C trailer.
 type matrixConfig struct {
-	name   string
-	codec  wire.Codec
-	shards int
+	name      string
+	transport Transport
+	shards    int
 }
 
-func codecShardMatrix() []matrixConfig {
+func checksumShardMatrix() []matrixConfig {
 	var out []matrixConfig
 	for _, c := range []struct {
-		name  string
-		codec wire.Codec
-	}{{"binary", wire.CodecBinary}, {"json", wire.CodecJSON}} {
+		name      string
+		transport Transport
+	}{{"binary", Transport{}}, {"crc", Transport{Checksum: true}}} {
 		for _, s := range []int{1, 2, 4} {
 			out = append(out, matrixConfig{
-				name:   fmt.Sprintf("%s/shards=%d", c.name, s),
-				codec:  c.codec,
-				shards: s,
+				name:      fmt.Sprintf("%s/shards=%d", c.name, s),
+				transport: c.transport,
+				shards:    s,
 			})
 		}
 	}
@@ -68,7 +71,7 @@ func codecShardMatrix() []matrixConfig {
 }
 
 // TestShardCodecMatrixConsistentStart runs the deterministic ring fixture
-// across {binary, json} x {1, 2, 4 shards} and demands metric-identical
+// across {binary, crc} x {1, 2, 4 shards} and demands metric-identical
 // results: same verdict, same assignment, same unique-message count. The
 // Messages equality at 4 shards is the no-double-count assertion for
 // inter-shard forwarding — a forwarded frame counted on both its arrival
@@ -79,13 +82,13 @@ func TestShardCodecMatrixConsistentStart(t *testing.T) {
 	p, init := ringProblem(t, n)
 	var baseMessages int64 = -1
 	var baseAssign csp.SliceAssignment
-	for _, cfg := range codecShardMatrix() {
+	for _, cfg := range checksumShardMatrix() {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			res, err := Run(p, awcMaker(p, init), Options{
-				Timeout: 30 * time.Second,
-				Codec:   cfg.codec,
-				Shards:  cfg.shards,
+				Timeout:   30 * time.Second,
+				Transport: cfg.transport,
+				Shards:    cfg.shards,
 			})
 			if err != nil {
 				t.Fatalf("run: %v (res=%+v)", err, res)
@@ -104,7 +107,7 @@ func TestShardCodecMatrixConsistentStart(t *testing.T) {
 				baseAssign = res.Assignment
 			} else {
 				if res.Messages != baseMessages {
-					t.Errorf("Messages = %d, want %d (codec/shard choice changed the count)",
+					t.Errorf("Messages = %d, want %d (checksum/shard choice changed the count)",
 						res.Messages, baseMessages)
 				}
 				for i := range baseAssign {
@@ -114,17 +117,9 @@ func TestShardCodecMatrixConsistentStart(t *testing.T) {
 					}
 				}
 			}
-			wantBinary := int64(0)
-			if cfg.codec == wire.CodecBinary {
-				wantBinary = n
-			}
-			if res.BinaryConns != wantBinary {
-				t.Errorf("BinaryConns = %d, want %d", res.BinaryConns, wantBinary)
-			}
 			if res.BytesSent == 0 || res.BytesRecv == 0 {
 				t.Errorf("byte counters not populated: sent=%d recv=%d", res.BytesSent, res.BytesRecv)
 			}
-			// Batching is codec-independent: both wire formats coalesce.
 			if res.BatchedFrames == 0 {
 				t.Errorf("no frames batched with batching enabled")
 			}
@@ -189,20 +184,20 @@ func TestShardTelemetryEvents(t *testing.T) {
 // drop+duplicate schedule (no delay: injected delay reorders step batches,
 // which legitimately perturbs check grouping). The fault schedule is keyed
 // on logical (from, to, seq, attempt), so it is invariant under sharding
-// and codec choice — Messages counts unique (link, seq) before the drop
-// decision and must stay identical across the matrix.
+// and the checksum setting — Messages counts unique (link, seq) before the
+// drop decision and must stay identical across the matrix.
 func TestShardCodecMatrixChaosRing(t *testing.T) {
 	p, init := ringProblem(t, 12)
 	fcfg := &faults.Config{Seed: 9, Drop: 0.3, Duplicate: 0.3}
 	var baseMessages int64 = -1
-	for _, cfg := range codecShardMatrix() {
+	for _, cfg := range checksumShardMatrix() {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			res, err := Run(p, awcMaker(p, init), Options{
-				Timeout: 30 * time.Second,
-				Codec:   cfg.codec,
-				Shards:  cfg.shards,
-				Faults:  fcfg,
+				Timeout:   30 * time.Second,
+				Transport: cfg.transport,
+				Shards:    cfg.shards,
+				Faults:    fcfg,
 			})
 			if err != nil {
 				t.Fatalf("run: %v (res=%+v)", err, res)
@@ -213,7 +208,7 @@ func TestShardCodecMatrixChaosRing(t *testing.T) {
 			if baseMessages < 0 {
 				baseMessages = res.Messages
 			} else if res.Messages != baseMessages {
-				t.Errorf("Messages = %d, want %d (chaos schedule not shard/codec-invariant)",
+				t.Errorf("Messages = %d, want %d (chaos schedule not shard/checksum-invariant)",
 					res.Messages, baseMessages)
 			}
 		})
@@ -231,14 +226,14 @@ func TestShardCodecMatrixChaosColoring(t *testing.T) {
 	}
 	init := gen.RandomInitial(inst.Problem, 72)
 	fcfg := &faults.Config{Seed: 4, Drop: 0.1, Duplicate: 0.3, MaxDelay: 2 * time.Millisecond}
-	for _, cfg := range codecShardMatrix() {
+	for _, cfg := range checksumShardMatrix() {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			res, err := Run(inst.Problem, awcMaker(inst.Problem, init), Options{
-				Timeout: 30 * time.Second,
-				Codec:   cfg.codec,
-				Shards:  cfg.shards,
-				Faults:  fcfg,
+				Timeout:   30 * time.Second,
+				Transport: cfg.transport,
+				Shards:    cfg.shards,
+				Faults:    fcfg,
 			})
 			if err != nil {
 				t.Fatalf("run: %v (res=%+v)", err, res)
@@ -251,10 +246,10 @@ func TestShardCodecMatrixChaosColoring(t *testing.T) {
 }
 
 // TestShardCodecMatrixPartitionWindow runs a PR-4 partition window (a cut
-// over the first 150ms that then heals) across codecs and shard counts. The
-// cut is seeded on agent ids, so which frames it intercepts is independent
-// of the socket plane; every cell must solve after the heal and observe the
-// window.
+// over the first 150ms that then heals) across checksum settings and shard
+// counts. The cut is seeded on agent ids, so which frames it intercepts is
+// independent of the socket plane; every cell must solve after the heal and
+// observe the window.
 func TestShardCodecMatrixPartitionWindow(t *testing.T) {
 	inst, err := gen.Coloring(15, 35, 3, 71)
 	if err != nil {
@@ -265,17 +260,17 @@ func TestShardCodecMatrixPartitionWindow(t *testing.T) {
 		{At: 0, Dur: 150 * time.Millisecond},
 	}}
 	for _, cfg := range []matrixConfig{
-		{"binary/shards=1", wire.CodecBinary, 1},
-		{"binary/shards=4", wire.CodecBinary, 4},
-		{"json/shards=4", wire.CodecJSON, 4},
+		{"binary/shards=1", Transport{}, 1},
+		{"binary/shards=4", Transport{}, 4},
+		{"crc/shards=4", Transport{Checksum: true}, 4},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			res, err := Run(inst.Problem, awcMaker(inst.Problem, init), Options{
-				Timeout: 30 * time.Second,
-				Codec:   cfg.codec,
-				Shards:  cfg.shards,
-				Faults:  fcfg,
+				Timeout:   30 * time.Second,
+				Transport: cfg.transport,
+				Shards:    cfg.shards,
+				Faults:    fcfg,
 			})
 			if err != nil {
 				t.Fatalf("run: %v (res=%+v)", err, res)
@@ -294,9 +289,9 @@ func TestShardCodecMatrixPartitionWindow(t *testing.T) {
 }
 
 // TestShardCodecMatrixCrashRestart replays the crash-restart profile across
-// the matrix on every codec and shard count: agent 2 of a 15-variable
-// coloring dies in its first step and rejoins from its checkpoint, and the
-// mustRejoin instance pins the exact restart count.
+// both checksum settings and shard counts: agent 2 of a 15-variable coloring
+// dies in its first step and rejoins from its checkpoint, and the mustRejoin
+// instance pins the exact restart count.
 func TestShardCodecMatrixCrashRestart(t *testing.T) {
 	inst, err := gen.Coloring(15, 35, 3, 73)
 	if err != nil {
@@ -308,17 +303,17 @@ func TestShardCodecMatrixCrashRestart(t *testing.T) {
 	}}
 	pinned, pinnedInit, pinnedFaults := mustRejoin(t)
 	for _, cfg := range []matrixConfig{
-		{"binary/shards=1", wire.CodecBinary, 1},
-		{"binary/shards=4", wire.CodecBinary, 4},
-		{"json/shards=4", wire.CodecJSON, 4},
+		{"binary/shards=1", Transport{}, 1},
+		{"binary/shards=4", Transport{}, 4},
+		{"crc/shards=4", Transport{Checksum: true}, 4},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			res, err := Run(inst.Problem, awcMaker(inst.Problem, init), Options{
-				Timeout: 30 * time.Second,
-				Codec:   cfg.codec,
-				Shards:  cfg.shards,
-				Faults:  fcfg,
+				Timeout:   30 * time.Second,
+				Transport: cfg.transport,
+				Shards:    cfg.shards,
+				Faults:    fcfg,
 			})
 			if err != nil {
 				t.Fatalf("run: %v (res=%+v)", err, res)
@@ -334,10 +329,10 @@ func TestShardCodecMatrixCrashRestart(t *testing.T) {
 			}
 
 			res, err = Run(pinned, awcMaker(pinned, pinnedInit), Options{
-				Timeout: 30 * time.Second,
-				Codec:   cfg.codec,
-				Shards:  cfg.shards,
-				Faults:  pinnedFaults,
+				Timeout:   30 * time.Second,
+				Transport: cfg.transport,
+				Shards:    cfg.shards,
+				Faults:    pinnedFaults,
 			})
 			if err != nil {
 				t.Fatalf("run: %v (res=%+v)", err, res)
@@ -349,38 +344,80 @@ func TestShardCodecMatrixCrashRestart(t *testing.T) {
 	}
 }
 
-// TestCodecNegotiationFallback pins the negotiation contract: a JSON hub
-// forces every connection to the fallback even when nodes request binary
-// (the hub-side half), and the default run negotiates binary everywhere.
-func TestCodecNegotiationFallback(t *testing.T) {
-	p, init := ringProblem(t, 6)
-	// Hub offers JSON; in-process nodes inherit the option and the welcome
-	// decides — every connection must land on the fallback.
-	res, err := Run(p, awcMaker(p, init), Options{
-		Timeout: 30 * time.Second,
-		Codec:   wire.CodecJSON,
-	})
-	if err != nil || !res.Solved {
-		t.Fatalf("json run: %v (res=%+v)", err, res)
+// TestWelcomeIsAlwaysBinary pins the fixed handshake from both ends. A
+// node whose hello asks for JSON, as workers built before the codec was
+// fixed do, is welcomed with binary and then heard in binary: a
+// one-variable hub solves on that node's binary state report. A node
+// welcomed with any other codec refuses the session.
+func TestWelcomeIsAlwaysBinary(t *testing.T) {
+	p := csp.NewProblemUniform(1, 2)
+	type hubOut struct {
+		res Result
+		err error
 	}
-	if res.BinaryConns != 0 {
-		t.Errorf("json hub negotiated %d binary conns, want 0", res.BinaryConns)
+	addrsCh := make(chan []string, 1)
+	hubCh := make(chan hubOut, 1)
+	go func() {
+		res, err := Run(p, nil, Options{
+			Timeout:  10 * time.Second,
+			External: true,
+			OnListen: func(addrs []string) { addrsCh <- addrs },
+		})
+		hubCh <- hubOut{res, err}
+	}()
+	var addrs []string
+	select {
+	case addrs = <-addrsCh:
+	case out := <-hubCh:
+		t.Fatalf("hub exited before listening: %v", out.err)
 	}
-	res, err = Run(p, awcMaker(p, init), Options{Timeout: 30 * time.Second})
-	if err != nil || !res.Solved {
-		t.Fatalf("default run: %v (res=%+v)", err, res)
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.BinaryConns != 6 {
-		t.Errorf("default run negotiated %d binary conns, want 6", res.BinaryConns)
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fr, fw := wire.NewFrameReader(conn), wire.NewFrameWriter(conn)
+	send := func(e wire.Envelope) {
+		t.Helper()
+		if err := fw.Send(&e); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(wire.Envelope{Type: wire.TypeHello, From: 0, To: -1, Codec: wire.CodecJSON.String()})
+	welcome, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if welcome.Type != wire.TypeWelcome || welcome.Codec != wire.CodecBinary.String() {
+		t.Fatalf("welcome = %+v, want one naming %q", welcome, wire.CodecBinary)
+	}
+	if err := fw.SetCodec(wire.CodecBinary); err != nil {
+		t.Fatal(err)
+	}
+	send(wire.Envelope{Type: wire.TypeState, From: 0, Value: 1})
+	if out := <-hubCh; out.err != nil || !out.res.Solved {
+		t.Fatalf("hub did not read the binary state report: %v (res=%+v)", out.err, out.res)
+	}
+
+	fh := startFakeHub(t, &recordingAgent{})
+	if e := fh.next(); e.Type != wire.TypeHello || e.Codec != wire.CodecBinary.String() {
+		t.Fatalf("node hello = %+v, want one naming %q", e, wire.CodecBinary)
+	}
+	fh.send(wire.Envelope{Type: wire.TypeWelcome, From: -1, To: 0, Codec: wire.CodecJSON.String()})
+	fh.flush()
+	if err := <-fh.nodeErr; err == nil {
+		t.Fatal("node accepted a welcome naming json")
 	}
 }
 
 // TestExternalWorkersSharded runs the hub with External nodes: two worker
 // "processes" (goroutine stand-ins for cmd/dcspnode) split the variables by
 // parity — which is exactly the shard assignment, so worker A talks only to
-// relay 0 and worker B only to relay 1. Worker B requests the JSON codec
-// against the binary hub, exercising mixed-codec negotiation: per-connection
-// fallback, binary everywhere else.
+// relay 0 and worker B only to relay 1.
 func TestExternalWorkersSharded(t *testing.T) {
 	inst, err := gen.Coloring(10, 20, 3, 81)
 	if err != nil {
@@ -405,24 +442,20 @@ func TestExternalWorkersSharded(t *testing.T) {
 		defer wg.Done()
 		addrs := <-addrsCh
 		var inner sync.WaitGroup
-		for _, w := range []struct {
-			vars  []int
-			codec wire.Codec
-		}{{evens, wire.CodecBinary}, {odds, wire.CodecJSON}} {
+		for _, vars := range [][]int{evens, odds} {
 			inner.Add(1)
-			go func(vars []int, codec wire.Codec) {
+			go func(vars []int) {
 				defer inner.Done()
 				if _, err := RunWorker(inst.Problem, maker, WorkerOptions{
 					Addrs: addrs,
 					Vars:  vars,
-					Codec: codec,
 					// A non-default drain window must plumb through without
 					// changing a clean run.
 					DrainWindow: 250 * time.Millisecond,
 				}); err != nil {
 					workerErrs <- err
 				}
-			}(w.vars, w.codec)
+			}(vars)
 		}
 		inner.Wait()
 	}()
@@ -446,10 +479,6 @@ func TestExternalWorkersSharded(t *testing.T) {
 	}
 	if res.TotalChecks != 0 {
 		t.Errorf("TotalChecks = %d, want 0 (external workers own the agents)", res.TotalChecks)
-	}
-	if res.BinaryConns != int64(len(evens)) {
-		t.Errorf("BinaryConns = %d, want %d (odd nodes requested the JSON fallback)",
-			res.BinaryConns, len(evens))
 	}
 	if res.BytesRecv == 0 || res.BytesSent == 0 {
 		t.Errorf("byte counters not populated: %+v", res)
@@ -495,29 +524,5 @@ func TestListenShardMismatch(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("mismatched Shards/Listen accepted")
-	}
-}
-
-// TestNoBatchDisablesBatching checks the batching kill-switch: with NoBatch
-// every frame crosses the sockets individually and the batched-frame
-// counter stays zero, without changing the verdict or message count.
-func TestNoBatchDisablesBatching(t *testing.T) {
-	p, init := ringProblem(t, 8)
-	batched, err := Run(p, awcMaker(p, init), Options{Timeout: 30 * time.Second})
-	if err != nil || !batched.Solved {
-		t.Fatalf("batched run: %v (res=%+v)", err, batched)
-	}
-	plain, err := Run(p, awcMaker(p, init), Options{Timeout: 30 * time.Second, NoBatch: true})
-	if err != nil || !plain.Solved {
-		t.Fatalf("nobatch run: %v (res=%+v)", err, plain)
-	}
-	if batched.BatchedFrames == 0 {
-		t.Errorf("default run batched no frames")
-	}
-	if plain.BatchedFrames != 0 {
-		t.Errorf("NoBatch run batched %d frames", plain.BatchedFrames)
-	}
-	if batched.Messages != plain.Messages {
-		t.Errorf("batching changed Messages: %d vs %d", batched.Messages, plain.Messages)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"github.com/discsp/discsp/internal/causal"
 	"github.com/discsp/discsp/internal/csp"
 	"github.com/discsp/discsp/internal/sim"
-	"github.com/discsp/discsp/internal/wire"
 )
 
 // WorkerOptions configures RunWorker.
@@ -21,11 +20,11 @@ type WorkerOptions struct {
 	Addrs []string
 	// Vars are the variables this worker owns; each becomes one node.
 	Vars []int
-	// Codec is the wire codec to request (zero value = binary); the hub's
-	// welcome decides per connection.
-	Codec wire.Codec
-	// NoBatch disables frame batching on the worker's writers.
-	NoBatch bool
+	// Transport configures the worker's side of its links and should match
+	// the hub's: Checksum requests the CRC32C trailer in each node's hello,
+	// and a node that hears nothing from the hub (not even a heartbeat) for
+	// DeadPeerTimeout abandons its connection and redials.
+	Transport
 	// DrainWindow bounds how long a node with a failed write drains inbound
 	// frames for the hub's stop before classifying the error as a hub
 	// death; 0 means the 1s default. External workers on slow links raise
@@ -35,19 +34,6 @@ type WorkerOptions struct {
 	// where the worker may launch before the hub listens, and on
 	// reconnection after a severed socket; 0 means 15s.
 	ConnectTimeout time.Duration
-	// Checksum requests the CRC32C frame trailer in each node's hello; the
-	// hub's welcome confirms it per connection (binary codec only, and
-	// only when the hub armed checksums too).
-	Checksum bool
-	// Heartbeat is the idle-link beacon period; 0 means 500ms, negative
-	// disables. It should match the hub's setting: the hub declares a node
-	// dead after DeadPeerTimeout of silence.
-	Heartbeat time.Duration
-	// DeadPeerTimeout is the node-side hub-silence bound: hearing nothing
-	// (not even a heartbeat) for this long makes a node abandon its
-	// connection and redial. 0 means 4× the heartbeat period; it is
-	// disabled when heartbeats are.
-	DeadPeerTimeout time.Duration
 	// Causal, when non-nil, traces this worker's nodes and requests causal
 	// trace-ID propagation in each hello; the hub confirms only when its
 	// run enabled Causal or CausalRelay. The caller owns the tracer (and
@@ -93,17 +79,7 @@ func RunWorker(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts W
 			return WorkerStats{}, fmt.Errorf("netrun: worker variable %d out of range [0,%d)", v, n)
 		}
 	}
-	hb := opts.Heartbeat
-	if hb == 0 {
-		hb = defaultHeartbeat
-	}
-	if hb < 0 {
-		hb = 0
-	}
-	deadPeer := opts.DeadPeerTimeout
-	if deadPeer <= 0 {
-		deadPeer = 4 * hb
-	}
+	hb, deadPeer := opts.liveness()
 	ctr := nodeCounters{checks: make([]atomic.Int64, n)}
 	done := make(chan struct{})
 	var once sync.Once
@@ -119,8 +95,6 @@ func RunWorker(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts W
 				addr:           opts.Addrs[shardOf(v, len(opts.Addrs))],
 				v:              csp.Var(v),
 				makeAgent:      makeAgent,
-				codec:          opts.Codec,
-				noBatch:        opts.NoBatch,
 				crc:            opts.Checksum,
 				causal:         opts.Causal,
 				hb:             hb,

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -154,6 +155,29 @@ type StoreMetrics struct {
 	Size      *Gauge
 	Lengths   *Histogram
 	Evictions *Counter
+}
+
+// Instrumented is implemented by the algorithm agents whose nogood store
+// accepts StoreMetrics hooks (core, abt, breakout).
+type Instrumented interface {
+	Instrument(StoreMetrics)
+}
+
+// StoreSizer is implemented by agents exposing their nogood-store size.
+type StoreSizer interface{ StoreSize() int }
+
+// AgentStoreMetrics resolves agent's store instruments in reg, each
+// labelled agent="<index>": the discsp_store_nogoods gauge, the
+// discsp_learned_nogood_len histogram, and the discsp_store_evictions
+// counter. Every runtime registers its agents' stores through it. A nil
+// reg yields all-nil (no-op) instruments.
+func AgentStoreMetrics(reg *Registry, agent int) StoreMetrics {
+	label := strconv.Itoa(agent)
+	return StoreMetrics{
+		Size:      reg.Gauge(Name("discsp_store_nogoods", "agent", label)),
+		Lengths:   reg.Histogram(Name("discsp_learned_nogood_len", "agent", label), NogoodLenBuckets),
+		Evictions: reg.Counter(Name("discsp_store_evictions", "agent", label)),
+	}
 }
 
 // Fixed bucket layouts. Every histogram in the repo uses one of these, so

@@ -21,8 +21,8 @@
 // Every integer field is zigzag-encoded so the codec is total over the
 // envelope's value space; the type string is the one field compressed to a
 // table code, and an envelope whose Type is outside the table cannot be
-// binary-encoded (the JSON fallback still carries it). The layout is part
-// of the wire format: append new fields at the end, never reorder.
+// binary-encoded (JSON framing still carries it). The layout is part of the
+// wire format: append new fields at the end, never reorder.
 package wire
 
 import (
@@ -30,35 +30,24 @@ import (
 	"fmt"
 )
 
-// Codec identifies a wire encoding negotiated per connection.
+// Codec identifies a frame encoding.
 type Codec uint8
 
 const (
-	// CodecBinary is the length-prefixed binary codec (the default).
+	// CodecBinary is the length-prefixed binary codec, the steady-state
+	// encoding.
 	CodecBinary Codec = iota
-	// CodecJSON is the newline-delimited JSON codec, retained as the
-	// negotiated fallback and the handshake encoding.
+	// CodecJSON is the newline-delimited JSON codec: the handshake
+	// encoding, and the baseline the wire benchmarks compare against.
 	CodecJSON
 )
 
-// String returns the codec's negotiation name.
+// String returns the codec's name, as a welcome frame carries it.
 func (c Codec) String() string {
 	if c == CodecJSON {
 		return "json"
 	}
 	return "binary"
-}
-
-// ParseCodec parses a negotiation name; "" means the binary default.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "json":
-		return CodecJSON, nil
-	default:
-		return CodecBinary, fmt.Errorf("wire: unknown codec %q (want binary or json)", s)
-	}
 }
 
 // Binary type codes. They are part of the wire format; do not renumber.

@@ -106,22 +106,8 @@ func TestCrossCodecEquality(t *testing.T) {
 	}
 }
 
-func TestParseCodec(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Codec
-		ok   bool
-	}{
-		{"", CodecBinary, true},
-		{"binary", CodecBinary, true},
-		{"json", CodecJSON, true},
-		{"msgpack", CodecBinary, false},
-	} {
-		got, err := ParseCodec(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseCodec(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
+// TestCodecNames pins the names a welcome frame carries.
+func TestCodecNames(t *testing.T) {
 	if CodecBinary.String() != "binary" || CodecJSON.String() != "json" {
 		t.Errorf("codec names: %q, %q", CodecBinary, CodecJSON)
 	}

@@ -1,6 +1,6 @@
 // Stream framing: FrameReader and FrameWriter carry envelopes and batches
 // over a byte stream in either codec, switching codecs mid-stream after the
-// hello/welcome negotiation.
+// hello/welcome handshake.
 //
 // JSON framing is one object per newline-terminated line (the pre-binary
 // wire format, byte-for-byte). Binary framing is
@@ -98,9 +98,9 @@ func (f *FrameReader) SetCodec(c Codec) { f.codec = c }
 
 // EnableChecksum arms CRC32C verification for subsequent binary frames:
 // each frame's payload must carry the 4-byte little-endian trailer the
-// peer's FrameWriter appends after the matching negotiation. The trailer is
-// a binary-framing extension; the JSON codec has no slot for it, which is
-// why the handshake only negotiates checksums onto binary connections.
+// peer's FrameWriter appends once the handshake has confirmed it. The
+// trailer is a binary-framing extension; the JSON codec has no slot for it,
+// so the handshake frames never carry one.
 func (f *FrameReader) EnableChecksum() { f.crc = true }
 
 // Next returns the next envelope, expanding batches transparently. The

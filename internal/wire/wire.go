@@ -3,8 +3,8 @@
 // message type of the AWC, ABT, DB, and multi agents has a stable JSON
 // envelope representation; Encode and Decode round-trip them exactly.
 //
-// Two codecs share the envelope: the legacy newline-delimited JSON encoding
-// (the negotiated fallback, and the handshake encoding) and a
+// Two codecs share the envelope: the newline-delimited JSON encoding (the
+// handshake encoding, and the baseline the wire benchmarks measure) and a
 // length-prefixed binary encoding built for zero allocations on the
 // steady-state encode and decode paths (see binary.go). FrameReader and
 // FrameWriter (stream.go) speak both over one connection and can coalesce
@@ -54,11 +54,11 @@ const TypeAck = "rel.ack"
 // next to the algorithm types, because the binary codec's type table must
 // cover every frame that crosses a socket.
 const (
-	// TypeHello is a node's registration frame; its Codec field names the
-	// wire codec the node requests.
+	// TypeHello is a node's registration frame; its Codec field names
+	// binary, the codec the node expects.
 	TypeHello = "ctl.hello"
 	// TypeWelcome is the hub's handshake reply; its Codec field names the
-	// negotiated codec both directions switch to after this frame.
+	// codec both directions switch to after this frame, always binary.
 	TypeWelcome = "ctl.welcome"
 	// TypeState is a node's post-step state report (value, insolubility,
 	// processed count).
@@ -102,8 +102,8 @@ type Envelope struct {
 
 	// Control-plane fields (TypeHello/TypeWelcome/TypeState), carried on the
 	// envelope so control frames share the codecs with the data plane.
-	// Insoluble and Processed are a TypeState report's payload; Codec is the
-	// handshake's requested (hello) or negotiated (welcome) codec name.
+	// Insoluble and Processed are a TypeState report's payload; Codec names
+	// the steady-state codec in a hello or welcome.
 	Insoluble bool   `json:"insoluble,omitempty"`
 	Processed int    `json:"processed,omitempty"`
 	Codec     string `json:"codec,omitempty"`
@@ -293,7 +293,7 @@ func nogoodIn(lits []Lit) (csp.Nogood, error) {
 }
 
 // Marshal renders the envelope as one newline-terminated JSON line, the
-// framing used on the TCP transport's JSON fallback. It allocates a fresh
+// framing of the TCP transport's handshake. It allocates a fresh
 // buffer per call; hot paths append into a reusable buffer with AppendTo
 // instead.
 func Marshal(e Envelope) ([]byte, error) {

@@ -3,7 +3,6 @@ package discsp
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/discsp/discsp/internal/abt"
@@ -18,7 +17,6 @@ import (
 	"github.com/discsp/discsp/internal/nogood"
 	"github.com/discsp/discsp/internal/sim"
 	"github.com/discsp/discsp/internal/telemetry"
-	"github.com/discsp/discsp/internal/wire"
 )
 
 // AlgorithmKind selects the distributed algorithm.
@@ -132,27 +130,13 @@ type Options struct {
 	// TCPOnListen, when non-nil, is called once with the bound relay
 	// addresses in shard order before any node starts.
 	TCPOnListen func(addrs []string)
-	// WireCodec selects SolveTCP's wire format: "" or "binary" for the
-	// length-prefixed zero-copy binary codec (default), "json" for the
-	// newline-delimited JSON fallback. Negotiation is per connection — a
-	// JSON-only peer always gets the fallback — and the verdict is
-	// codec-independent.
-	WireCodec string
-	// WireNoBatch disables SolveTCP's frame batching: every frame is
-	// written and flushed individually instead of coalescing into
-	// size-bounded batches with one ack watermark per link.
-	WireNoBatch bool
-	// WireChecksum arms the CRC32C frame trailer on SolveTCP's binary
-	// connections (hub side; workers request it in their hellos): damaged
-	// frames are detected, dropped, counted, and recovered by
-	// retransmission instead of corrupting the decode.
-	WireChecksum bool
-	// TCPHeartbeat is SolveTCP's liveness beacon period on every hub↔node
-	// link; 0 means 500ms, negative disables liveness.
-	TCPHeartbeat time.Duration
-	// TCPDeadPeerTimeout is how long a node may stay silent before the hub
-	// declares it dead; 0 means 4× the heartbeat period.
-	TCPDeadPeerTimeout time.Duration
+	// TCPTransport configures both ends of SolveTCP's links, and a
+	// SolveTCPWorker's side of its own: the CRC32C frame trailer
+	// (Checksum), the liveness beacon period (Heartbeat; 0 means 500ms,
+	// negative disables), and the silence after which a peer is declared
+	// dead (DeadPeerTimeout; 0 means 4× the heartbeat). A hub and its
+	// workers should share one value.
+	TCPTransport TCPTransport
 	// TCPReconnectGrace is how long the hub parks an unreachable node's
 	// frames awaiting its re-hello (a worker redial or process relaunch)
 	// before failing the run; 0 means 3s, negative fails immediately.
@@ -180,6 +164,10 @@ type Options struct {
 	// reports. Ignored by DB and ABT.
 	WarmCache *NogoodCache
 }
+
+// TCPTransport is the link configuration a SolveTCP hub and its nodes
+// share; see Options.TCPTransport.
+type TCPTransport = netrun.Transport
 
 // Retention is a nogood-store retention policy; see the nogood package for
 // the policy semantics (RetainAll / RetainLRU / RetainActivity).
@@ -259,13 +247,10 @@ type Result struct {
 
 	// Wire-level counters (SolveTCP only). BytesSent and BytesRecv count
 	// bytes crossing the hub's sockets (hub→nodes and nodes→hub);
-	// BatchedFrames counts frames that traveled inside coalesced batches;
-	// BinaryConns counts node connections that negotiated the binary codec
-	// (the rest fell back to JSON).
+	// BatchedFrames counts frames that traveled inside coalesced batches.
 	BytesSent     int64
 	BytesRecv     int64
 	BatchedFrames int64
-	BinaryConns   int64
 }
 
 func (o Options) learning() core.Learning {
@@ -495,16 +480,9 @@ func instrumentAgents(reg *MetricsRegistry, agents []sim.Agent) {
 		return
 	}
 	for i, a := range agents {
-		ia, ok := a.(instrumented)
-		if !ok {
-			continue
+		if ia, ok := a.(telemetry.Instrumented); ok {
+			ia.Instrument(telemetry.AgentStoreMetrics(reg, i))
 		}
-		id := strconv.Itoa(i)
-		ia.Instrument(telemetry.StoreMetrics{
-			Size:      reg.Gauge(telemetry.Name("discsp_store_nogoods", "agent", id)),
-			Lengths:   reg.Histogram(telemetry.Name("discsp_learned_nogood_len", "agent", id), telemetry.NogoodLenBuckets),
-			Evictions: reg.Counter(telemetry.Name("discsp_store_evictions", "agent", id)),
-		})
 	}
 }
 
@@ -513,9 +491,9 @@ func instrumentAgents(reg *MetricsRegistry, agents []sim.Agent) {
 // nogood-store size alongside the simulator's message and check counters.
 // Histograms are resolved here, once, before the run.
 func teeCycleEvents(tel *Telemetry, agents []sim.Agent, inner func(CycleEvent)) func(CycleEvent) {
-	storeAgents := make([]storeSizer, 0, len(agents))
+	storeAgents := make([]telemetry.StoreSizer, 0, len(agents))
 	for _, a := range agents {
-		if s, ok := a.(storeSizer); ok {
+		if s, ok := a.(telemetry.StoreSizer); ok {
 			storeAgents = append(storeAgents, s)
 		}
 	}
@@ -548,7 +526,7 @@ func teeCycleEvents(tel *Telemetry, agents []sim.Agent, inner func(CycleEvent)) 
 func emitSyncFinal(tel *Telemetry, agents []sim.Agent, out Result) {
 	for i, a := range agents {
 		ev := telemetry.Event{Kind: telemetry.KindAgent, Agent: i, Checks: a.Checks()}
-		if s, ok := a.(storeSizer); ok {
+		if s, ok := a.(telemetry.StoreSizer); ok {
 			ev.StoreSize = int64(s.StoreSize())
 		}
 		tel.Emit(ev)
@@ -641,33 +619,19 @@ func SolveAsync(p *Problem, opts Options) (Result, error) {
 	return out, err
 }
 
-// wireCodec parses Options.WireCodec ("" = binary).
-func (o Options) wireCodec() (wire.Codec, error) {
-	c, err := wire.ParseCodec(o.WireCodec)
-	if err != nil {
-		return c, fmt.Errorf("discsp: %w", err)
-	}
-	return c, nil
-}
-
 // SolveTCP runs the selected algorithm over an actual TCP network: a hub of
 // sharded relays routes wire-framed messages between one node per agent.
 // The same agents as Solve and SolveAsync cross a real socket boundary —
 // the paper's "can work on any type of distributed systems" claim in its
 // strongest locally-testable form. Metrics follow SolveAsync's, plus the
-// wire-level byte/batch counters. Frames travel in the negotiated codec
-// (binary by default, JSON fallback; see Options.WireCodec) and coalesce
-// into batches unless Options.WireNoBatch.
+// wire-level byte/batch counters. Frames travel in the binary codec,
+// coalesced into batches.
 func SolveTCP(p *Problem, opts Options) (Result, error) {
 	init, err := opts.initial(p)
 	if err != nil {
 		return Result{}, err
 	}
 	fcfg, err := opts.faults()
-	if err != nil {
-		return Result{}, err
-	}
-	codec, err := opts.wireCodec()
 	if err != nil {
 		return Result{}, err
 	}
@@ -689,11 +653,7 @@ func SolveTCP(p *Problem, opts Options) (Result, error) {
 		Causal:          tracer,
 		CausalRelay:     opts.Causal != nil,
 		Shards:          opts.TCPShards,
-		Codec:           codec,
-		NoBatch:         opts.WireNoBatch,
-		Checksum:        opts.WireChecksum,
-		Heartbeat:       opts.TCPHeartbeat,
-		DeadPeerTimeout: opts.TCPDeadPeerTimeout,
+		Transport:       opts.TCPTransport,
 		ReconnectGrace:  opts.TCPReconnectGrace,
 		Listen:          opts.TCPListen,
 		External:        opts.TCPExternal,
@@ -717,7 +677,6 @@ func SolveTCP(p *Problem, opts Options) (Result, error) {
 		BytesSent:            res.BytesSent,
 		BytesRecv:            res.BytesRecv,
 		BatchedFrames:        res.BatchedFrames,
-		BinaryConns:          res.BinaryConns,
 	}
 	emitNetFinal(opts.Telemetry, out)
 	opts.causalEnd(out)
@@ -742,16 +701,6 @@ type TCPWorkerOptions struct {
 	// startup (the worker may launch before the hub listens) and when
 	// redialing after a severed connection; 0 means 15s.
 	ConnectTimeout time.Duration
-	// Checksum requests the CRC32C frame trailer on this worker's binary
-	// connections; it takes effect only when the hub armed WireChecksum
-	// too.
-	Checksum bool
-	// Heartbeat is the idle-link beacon period (0 = 500ms, negative
-	// disables) and DeadPeerTimeout the hub-silence bound after which a
-	// node abandons its connection and redials (0 = 4× the heartbeat).
-	// They should match the hub's settings.
-	Heartbeat       time.Duration
-	DeadPeerTimeout time.Duration
 	// Causal, when non-nil, traces this worker's nodes: spans and stamped
 	// trace IDs are written to the stream, and each node's hello requests
 	// trace-ID propagation (the hub confirms when its run set Causal).
@@ -781,18 +730,14 @@ type TCPWorkerStats struct {
 // external SolveTCP hub (one started with Options.TCPExternal — in another
 // goroutine, process, or machine; cmd/dcspnode is the process form). opts
 // supplies the algorithm configuration, which must match the hub's problem,
-// and the wire options (WireCodec, WireNoBatch) for this worker's
-// connections. It blocks until the hub finishes the run and tears the
+// and TCPTransport for this worker's side of its links: Checksum requests
+// the frame trailer, which takes effect when the hub armed it too. It blocks until the hub finishes the run and tears the
 // connections down; the hub's SolveTCP result carries the verdict, and the
 // returned stats carry this worker's transport totals. Workers survive a
 // hub that is not yet listening (dial retry until ConnectTimeout) and
 // connections severed mid-solve (redial, re-hello, and replay).
 func SolveTCPWorker(p *Problem, opts Options, w TCPWorkerOptions) (TCPWorkerStats, error) {
 	init, err := opts.initial(p)
-	if err != nil {
-		return TCPWorkerStats{}, err
-	}
-	codec, err := opts.wireCodec()
 	if err != nil {
 		return TCPWorkerStats{}, err
 	}
@@ -808,16 +753,12 @@ func SolveTCPWorker(p *Problem, opts Options, w TCPWorkerOptions) (TCPWorkerStat
 		tracer = causal.New(w.Causal, p)
 	}
 	st, err := netrun.RunWorker(p, withCausal(tracer, opts.makeAgent(p, init)), netrun.WorkerOptions{
-		Addrs:           w.Addrs,
-		Vars:            w.Vars,
-		Codec:           codec,
-		NoBatch:         opts.WireNoBatch,
-		DrainWindow:     w.DrainWindow,
-		ConnectTimeout:  w.ConnectTimeout,
-		Checksum:        w.Checksum,
-		Heartbeat:       w.Heartbeat,
-		DeadPeerTimeout: w.DeadPeerTimeout,
-		Causal:          tracer,
+		Addrs:          w.Addrs,
+		Vars:           w.Vars,
+		Transport:      opts.TCPTransport,
+		DrainWindow:    w.DrainWindow,
+		ConnectTimeout: w.ConnectTimeout,
+		Causal:         tracer,
 	})
 	if w.Causal != nil {
 		w.Causal.Emit(telemetry.Event{Kind: telemetry.KindEnd})

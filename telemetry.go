@@ -68,12 +68,3 @@ func (o Options) AlgorithmName() string {
 		return "AWC-" + o.learning().Name()
 	}
 }
-
-// instrumented is implemented by the algorithm agents whose nogood store
-// accepts telemetry hooks.
-type instrumented interface {
-	Instrument(telemetry.StoreMetrics)
-}
-
-// storeSizer is implemented by agents exposing their nogood-store size.
-type storeSizer interface{ StoreSize() int }
