@@ -100,15 +100,18 @@ telemetry:
 # critical-path, provenance-termination, and failure-path tests under the
 # race detector, then the binary smoke — a seeded solve with -causal piped
 # through dcsptrace's critical-path and Perfetto exports, asserting a
-# non-empty path and valid JSON; a seeded sync solve's -telemetry stream
-# summarized by dcsptrace -cycles, asserting its per-cycle peaks; and a
-# -block solve with -telemetry, which must be refused (that path records
-# no stream).
+# non-empty path and valid JSON; a traced dcspnode worker owning every
+# variable behind a hub started without -causal, asserting the hub solved
+# and the worker's own critical path holds wire time (trace IDs crossed
+# the untraced hub); a seeded sync solve's -telemetry stream summarized by
+# dcsptrace -cycles, asserting its per-cycle peaks; and a -block solve
+# with -telemetry, which must be refused (that path records no stream).
 trace:
 	$(GO) test -race -timeout 10m -run 'TestCausal' . ./internal/netrun/
 	$(GO) test -timeout 5m ./internal/causal/ ./cmd/dcsptrace/
 	$(GO) build -o dcspgen ./cmd/dcspgen
 	$(GO) build -o dcspsolve ./cmd/dcspsolve
+	$(GO) build -o dcspnode ./cmd/dcspnode
 	$(GO) build -o dcsptrace ./cmd/dcsptrace
 	./dcspgen -family d3c -n 30 -seed 11 -o trace-smoke.col
 	./dcspsolve -causal -trace-out trace-smoke.jsonl -seed 11 trace-smoke.col
@@ -117,6 +120,13 @@ trace:
 	./dcsptrace -provenance all trace-smoke.jsonl > /dev/null
 	./dcsptrace -perfetto trace-smoke-perfetto.json trace-smoke.jsonl
 	python3 -m json.tool trace-smoke-perfetto.json > /dev/null
+	./dcspsolve -tcp -tcp-external -tcp-listen 127.0.0.1:7431 trace-smoke.col > trace-smoke-hub.txt & hub=$$!; \
+	./dcspnode -connect 127.0.0.1:7431 -vars 0-29 -causal -trace-out trace-smoke-worker.jsonl trace-smoke.col; \
+	worker=$$?; wait $$hub && [ $$worker -eq 0 ]
+	cat trace-smoke-hub.txt
+	grep -q 'solved=true' trace-smoke-hub.txt
+	./dcsptrace -critical-path trace-smoke-worker.jsonl | tee trace-smoke-worker-path.txt
+	grep -Eq 'wire [1-9][0-9]*us' trace-smoke-worker-path.txt
 	./dcspsolve -telemetry trace-smoke-telemetry.jsonl -seed 11 trace-smoke.col
 	./dcsptrace -cycles trace-smoke-telemetry.jsonl | tee trace-smoke-cycles.txt
 	grep -q '^busiest cycle: ' trace-smoke-cycles.txt

@@ -123,7 +123,7 @@ func TestCausalInertAsync(t *testing.T) {
 }
 
 // TestCausalInertTCP: same over the loopback TCP runtime, where trace IDs
-// additionally ride the wire as negotiated envelope extensions.
+// additionally ride the wire as an envelope extension.
 func TestCausalInertTCP(t *testing.T) {
 	p := chain(t, 8, 3)
 	opts := discsp.Options{InitialSeed: 3}

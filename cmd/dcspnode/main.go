@@ -57,7 +57,7 @@ func run() error {
 		connTO    = flag.Duration("connect-timeout", 0, "how long each node keeps retrying its dial — at startup before the hub listens, and when redialing after a severed connection; 0 = 15s default")
 		heartbeat = flag.Duration("heartbeat", 0, "idle-link liveness beacon period, matching the hub's; 0 = 500ms default, negative disables")
 		deadPeer  = flag.Duration("dead-peer", 0, "hub silence after which a node abandons its connection and redials; 0 = 4x the heartbeat period")
-		causalOn  = flag.Bool("causal", false, "trace this worker's nodes and request trace-ID propagation (effective when the hub's run set -causal too); needs -trace-out")
+		causalOn  = flag.Bool("causal", false, "trace this worker's nodes (trace IDs cross the hub whether or not it traces); needs -trace-out")
 		causalOut = flag.String("trace-out", "", "write this worker's causal trace stream to this file")
 	)
 	flag.Parse()
@@ -115,7 +115,6 @@ func run() error {
 	// Causal tracing is per-process: this worker's spans and stamped trace
 	// IDs go to its own stream file, self-consistent on its own (message
 	// edges into sibling workers resolve in their streams).
-	var ct *discsp.Telemetry
 	if *causalOn != (*causalOut != "") {
 		return fmt.Errorf("-causal and -trace-out go together")
 	}
@@ -125,9 +124,9 @@ func run() error {
 			return err
 		}
 		defer f.Close()
-		ct = discsp.NewTelemetry(nil, f)
+		opts.Causal = discsp.NewTelemetry(nil, f)
 		defer func() {
-			if err := ct.Flush(); err != nil {
+			if err := opts.Causal.Flush(); err != nil {
 				fmt.Fprintln(os.Stderr, "dcspnode: causal trace stream:", err)
 			}
 		}()
@@ -140,7 +139,6 @@ func run() error {
 		Vars:           vars,
 		DrainWindow:    *drainWin,
 		ConnectTimeout: *connTO,
-		Causal:         ct,
 	})
 	if err != nil {
 		return err

@@ -334,14 +334,14 @@ func run() error {
 		}
 		fmt.Printf("%s (tcp): solved=%v insoluble=%v messages=%d checks=%d duration=%v%s\n",
 			opts.Algorithm, res.Solved, res.Insoluble, res.Messages, res.TotalChecks,
-			res.Duration, res.Transport().Suffix())
+			res.Duration, res.TransportCounters.Suffix())
 	case *useAsync:
 		res, err = discsp.SolveAsync(problem, opts)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s (async): solved=%v insoluble=%v messages=%d checks=%d duration=%v%s\n",
-			opts.Algorithm, res.Solved, res.Insoluble, res.Messages, res.TotalChecks, res.Duration, res.Transport().Suffix())
+			opts.Algorithm, res.Solved, res.Insoluble, res.Messages, res.TotalChecks, res.Duration, res.TransportCounters.Suffix())
 	case *block > 1:
 		res, err = discsp.SolvePartitioned(problem, discsp.UniformPartition(problem.NumVars(), *block), discsp.PartitionedOptions{
 			LearningSizeBound: *k,

@@ -2,12 +2,15 @@ package discsp_test
 
 import (
 	"bytes"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/discsp/discsp"
+	"github.com/discsp/discsp/internal/causal"
 )
 
 func chain(t *testing.T, n int, colors int) *discsp.Problem {
@@ -358,6 +361,105 @@ func TestSolveTCPWorkerTransport(t *testing.T) {
 	}
 	if corrupt.Load() == 0 {
 		t.Errorf("workers counted no corrupt frames: their links did not arm the checksum")
+	}
+}
+
+// TestSolveTCPWorkerTracesFromOptions runs an untraced SolveTCP hub whose
+// agents all live in one SolveTCPWorker, traced through the same
+// Options.Causal every other entry point reads. The worker's stream is
+// whole: complete, free of dangling IDs, and its step spans cite the
+// messages that released them, whose trace IDs crossed the hub.
+func TestSolveTCPWorkerTracesFromOptions(t *testing.T) {
+	inst, err := discsp.GenerateColoring(15, 40, 3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := discsp.Options{InitialSeed: 11, Timeout: 30 * time.Second, TCPExternal: true}
+	var addrs []string
+	listening := make(chan struct{})
+	hub.TCPOnListen = func(a []string) {
+		addrs = a
+		close(listening)
+	}
+	var stream bytes.Buffer
+	worker := discsp.Options{InitialSeed: 11, Causal: discsp.NewTelemetry(nil, &stream)}
+	// A hub that fails before it listens never calls TCPOnListen; hubDone
+	// releases the worker then.
+	hubDone := make(chan struct{})
+	workerErr := make(chan error, 1)
+	go func() {
+		select {
+		case <-listening:
+		case <-hubDone:
+			workerErr <- nil
+			return
+		}
+		vars := make([]int, inst.Problem.NumVars())
+		for v := range vars {
+			vars[v] = v
+		}
+		_, err := discsp.SolveTCPWorker(inst.Problem, worker, discsp.TCPWorkerOptions{Addrs: addrs, Vars: vars})
+		workerErr <- err
+	}()
+	res, err := discsp.SolveTCP(inst.Problem, hub)
+	close(hubDone)
+	werr := <-workerErr
+	if err != nil {
+		t.Fatalf("SolveTCP: %v (res=%+v)", err, res)
+	}
+	if !res.Solved || !inst.Problem.IsSolution(res.Assignment) {
+		t.Fatalf("not solved: %+v", res)
+	}
+	if werr != nil {
+		t.Fatalf("worker: %v", werr)
+	}
+	g := readCausal(t, worker.Causal, &stream)
+	cited := 0
+	for _, id := range g.Order {
+		if n := g.Nodes[id]; n.Kind == causal.SpanStep {
+			for _, c := range n.Causes {
+				if g.Nodes[c].Kind == causal.KindMessage {
+					cited++
+				}
+			}
+		}
+	}
+	if cited == 0 {
+		t.Error("no step span cites a message: trace IDs did not cross the untraced hub")
+	}
+}
+
+// TestSolveTCPWorkerRejectsTelemetry: a worker has no event sink, so
+// Options.Telemetry is an error returned before any node dials the hub.
+func TestSolveTCPWorkerRejectsTelemetry(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dialed atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dialed.Add(1)
+			conn.Close()
+		}
+	}()
+	p := chain(t, 4, 3)
+	opts := discsp.Options{Telemetry: discsp.NewTelemetry(discsp.NewMetricsRegistry(), nil)}
+	_, err = discsp.SolveTCPWorker(p, opts, discsp.TCPWorkerOptions{
+		Addrs:          []string{ln.Addr().String()},
+		Vars:           []int{0, 1, 2, 3},
+		ConnectTimeout: 500 * time.Millisecond,
+	})
+	if err == nil || !strings.Contains(err.Error(), "Options.Telemetry") {
+		t.Errorf("SolveTCPWorker with Options.Telemetry: err = %v, want one naming Options.Telemetry", err)
+	}
+	if n := dialed.Load(); n != 0 {
+		t.Errorf("the worker dialed the hub %d times", n)
 	}
 }
 

@@ -118,10 +118,11 @@ type Options struct {
 	// nogood-store sizes). Nil disables all instrumentation; the runtime
 	// behaves identically either way apart from the observation itself.
 	Telemetry *telemetry.Run
-	// Causal, when non-nil, records one span per agent activation and
-	// stamps outgoing messages with trace IDs (see internal/causal). Agent
-	// handles are per-variable and survive crash-restarts, so a restarted
-	// incarnation continues its predecessor's trace-ID counter.
+	// Causal, when non-nil, records one span per agent activation, stamps
+	// outgoing messages with trace IDs, and attaches each agent's handle
+	// for its nogood lineage (see internal/causal). Agent handles are
+	// per-variable and survive crash-restarts, so a restarted incarnation
+	// continues its predecessor's trace-ID counter.
 	Causal *causal.Tracer
 }
 
@@ -143,21 +144,13 @@ type Result struct {
 	// Duration is the wall-clock time from start to stop.
 	Duration time.Duration
 
-	// Retransmits counts message transmissions repeated because a fault
-	// dropped an earlier attempt, including batches redelivered to a
-	// restarted agent.
-	Retransmits int64
-	// DuplicatesSuppressed counts injected duplicate deliveries discarded
-	// before reaching an agent.
-	DuplicatesSuppressed int64
-	// Restarts counts agents that crashed and recovered from a checkpoint.
-	Restarts int64
-	// Partitioned counts messages held at a partition cut (delivered at
-	// heal, or stranded forever under a never-healing window).
-	Partitioned int64
-	// PartitionHeals counts scheduled partition windows that healed within
-	// the run's duration.
-	PartitionHeals int64
+	// Transport holds the reliability-layer counters this runtime fills.
+	// Retransmits includes batches redelivered to a restarted agent;
+	// DuplicatesSuppressed counts injected copies discarded before reaching
+	// an agent; Partitioned counts messages held at a cut (delivered at the
+	// heal, or stranded under a never-healing window). Restarts and
+	// PartitionHeals are filled too; the TCP-only counters stay zero.
+	telemetry.Transport
 }
 
 // Run executes one agent goroutine per problem variable until the monitor
@@ -254,10 +247,10 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		rt.published[v].Store(int64(a.CurrentValue()))
 	}
 	for _, a := range rt.agents {
-		at := rt.causal.Agent(int(a.ID()))
+		at := rt.causal.Attach(int(a.ID()), a)
 		at.Begin(causal.SpanInit, 0)
 		out := a.Init()
-		stampBatch(at, out)
+		sim.StampBatch(at, out)
 		at.End()
 		// Init alone can prove insolubility (a domain wiped out by unary
 		// constraints), and no later step of that agent may report it.
@@ -380,13 +373,7 @@ func (rt *runtime) emitFinal(res Result) {
 	}
 	reg.Counter("discsp_deliveries_total").Add(res.Messages)
 	reg.Counter("discsp_checks_total").Add(res.TotalChecks)
-	telemetry.Transport{
-		Retransmits:          res.Retransmits,
-		DuplicatesSuppressed: res.DuplicatesSuppressed,
-		Restarts:             res.Restarts,
-		Partitioned:          res.Partitioned,
-		PartitionHeals:       res.PartitionHeals,
-	}.Record(reg)
+	res.Transport.Record(reg)
 }
 
 // linkKey identifies one directed communication link.
@@ -450,6 +437,7 @@ func (rt *runtime) agentLoop(v int) {
 				time.Sleep(crash.RestartDelay)
 			}
 			fresh := rt.makeAgent(csp.Var(v))
+			rt.causal.Attach(v, fresh)
 			if c, canRestore := fresh.(sim.Checkpointer); canRestore && ckpt != nil {
 				if err := c.Restore(ckpt); err != nil {
 					rt.fail(fmt.Errorf("async: agent %d restore after crash: %w", v, err))
@@ -466,9 +454,9 @@ func (rt *runtime) agentLoop(v int) {
 			rt.retransmits.Add(int64(len(batch)))
 		}
 		at.Begin(causal.SpanStep, steps)
-		causeBatch(at, batch)
+		sim.CauseBatch(at, batch)
 		out := a.Step(batch)
-		stampBatch(at, out)
+		sim.StampBatch(at, out)
 		at.End()
 		steps++
 		if crashPending {
@@ -492,28 +480,6 @@ func (rt *runtime) agentLoop(v int) {
 // fail records the first fatal runtime error; the monitor surfaces it.
 func (rt *runtime) fail(err error) {
 	rt.runErr.CompareAndSwap(nil, err)
-}
-
-// causeBatch records the delivered batch as the open span's cause set.
-// No-op (no allocation, no timestamp) when tracing is off.
-func causeBatch(at *causal.AgentTracer, in []sim.Message) {
-	if at == nil {
-		return
-	}
-	for _, m := range in {
-		at.Cause(m)
-	}
-}
-
-// stampBatch assigns trace IDs to outgoing messages in place. No-op when
-// tracing is off.
-func stampBatch(at *causal.AgentTracer, out []sim.Message) {
-	if at == nil {
-		return
-	}
-	for i, m := range out {
-		out[i] = at.Stamp(m, int(m.To()), sim.TypeName(m)).(sim.Message)
-	}
 }
 
 // route delivers messages, applying the fault schedule and optional jitter.

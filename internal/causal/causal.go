@@ -182,6 +182,22 @@ func (t *Tracer) Agent(id int) *AgentTracer {
 	return at
 }
 
+// Attach returns agent id's handle (see Agent) and hands it to a when a
+// records nogood lineage (has SetCausal). The runtimes call it on every
+// agent they build, restarted incarnations included, so learn and store
+// events continue the agent's one counter. A nil Tracer returns nil at
+// once, before inspecting a.
+func (t *Tracer) Attach(id int, a any) *AgentTracer {
+	if t == nil {
+		return nil
+	}
+	at := t.Agent(id)
+	if lr, ok := a.(interface{ SetCausal(*AgentTracer) }); ok {
+		lr.SetCausal(at)
+	}
+	return at
+}
+
 // sinceUS is the span clock: microseconds since the tracer was built.
 // Timestamps are observational (they order and measure spans for the
 // critical-path and Perfetto analyses); trace IDs never depend on them.

@@ -89,21 +89,13 @@ func CompareRuntimesWith(problem *csp.Problem, initial csp.SliceAssignment, lear
 		return nil, fmt.Errorf("async: %w", err)
 	}
 	out = append(out, RuntimeResult{
-		Runtime:  "async",
-		Solved:   asyncRes.Solved,
-		Messages: asyncRes.Messages,
-		Duration: asyncRes.Duration,
-		Transport: telemetry.Transport{
-			Retransmits:          asyncRes.Retransmits,
-			DuplicatesSuppressed: asyncRes.DuplicatesSuppressed,
-			Restarts:             asyncRes.Restarts,
-			Partitioned:          asyncRes.Partitioned,
-			PartitionHeals:       asyncRes.PartitionHeals,
-		},
+		Runtime:   "async",
+		Solved:    asyncRes.Solved,
+		Messages:  asyncRes.Messages,
+		Duration:  asyncRes.Duration,
+		Transport: asyncRes.Transport,
 	})
 
-	tcpAgent := makeAgent
-	var tracer *causal.Tracer
 	if tcp.Causal != nil {
 		tcp.Causal.Emit(telemetry.Event{
 			Kind:      telemetry.KindMeta,
@@ -112,14 +104,9 @@ func CompareRuntimesWith(problem *csp.Problem, initial csp.SliceAssignment, lear
 			Vars:      problem.NumVars(),
 			Nogoods:   problem.NumNogoods(),
 		})
-		tracer = causal.New(tcp.Causal, problem)
-		tcpAgent = func(v csp.Var) sim.Agent {
-			a := core.NewAgent(v, problem, initial[v], learning)
-			a.SetCausal(tracer.Agent(int(v)))
-			return a
-		}
 	}
-	tcpRes, err := netrun.Run(problem, tcpAgent, netrun.Options{
+	tracer := causal.New(tcp.Causal, problem)
+	tcpRes, err := netrun.Run(problem, makeAgent, netrun.Options{
 		Timeout: timeout,
 		Faults:  fcfg,
 		Shards:  tcp.Shards,
@@ -139,23 +126,11 @@ func CompareRuntimesWith(problem *csp.Problem, initial csp.SliceAssignment, lear
 		})
 	}
 	out = append(out, RuntimeResult{
-		Runtime:  "tcp",
-		Solved:   tcpRes.Solved,
-		Messages: tcpRes.Messages,
-		Duration: tcpRes.Duration,
-		Transport: telemetry.Transport{
-			Retransmits:          tcpRes.Retransmits,
-			DuplicatesSuppressed: tcpRes.DuplicatesSuppressed,
-			Restarts:             tcpRes.Restarts,
-			Partitioned:          tcpRes.Partitioned,
-			PartitionHeals:       tcpRes.PartitionHeals,
-			Reconnects:           tcpRes.Reconnects,
-			HeartbeatTimeouts:    tcpRes.HeartbeatTimeouts,
-			CorruptFrames:        tcpRes.CorruptFrames,
-			BytesSent:            tcpRes.BytesSent,
-			BytesRecv:            tcpRes.BytesRecv,
-			BatchedFrames:        tcpRes.BatchedFrames,
-		},
+		Runtime:   "tcp",
+		Solved:    tcpRes.Solved,
+		Messages:  tcpRes.Messages,
+		Duration:  tcpRes.Duration,
+		Transport: tcpRes.Transport,
 	})
 	return out, nil
 }

@@ -14,28 +14,18 @@ import (
 	"github.com/discsp/discsp/internal/core"
 	"github.com/discsp/discsp/internal/csp"
 	"github.com/discsp/discsp/internal/gen"
-	"github.com/discsp/discsp/internal/sim"
 	"github.com/discsp/discsp/internal/telemetry"
 )
 
-// causalRun builds a tracer over a fresh stream and returns the maker
-// wrapped to hand each agent its lineage handle, plus a closer that
-// finalizes the stream and decodes it.
-func causalRun(t *testing.T, p *csp.Problem, maker func(csp.Var) sim.Agent) (*causal.Tracer, func(csp.Var) sim.Agent, func() []telemetry.Event) {
+// causalRun builds a tracer over a fresh stream, plus a closer that
+// finalizes the stream and decodes it. The runtime hands each agent its
+// lineage handle itself.
+func causalRun(t *testing.T, p *csp.Problem) (*causal.Tracer, func() []telemetry.Event) {
 	t.Helper()
 	var buf bytes.Buffer
 	run := telemetry.NewRun(telemetry.NewRegistry(), &buf)
 	run.Emit(telemetry.Event{Kind: telemetry.KindMeta, Runtime: "tcp"})
 	tracer := causal.New(run, p)
-	wrapped := func(v csp.Var) sim.Agent {
-		a := maker(v)
-		if ca, ok := a.(interface {
-			SetCausal(*causal.AgentTracer)
-		}); ok {
-			ca.SetCausal(tracer.Agent(int(v)))
-		}
-		return a
-	}
 	done := func() []telemetry.Event {
 		run.Emit(telemetry.Event{Kind: telemetry.KindEnd})
 		if err := run.Flush(); err != nil {
@@ -47,7 +37,7 @@ func causalRun(t *testing.T, p *csp.Problem, maker func(csp.Var) sim.Agent) (*ca
 		}
 		return events
 	}
-	return tracer, wrapped, done
+	return tracer, done
 }
 
 // checkTrace builds the graph and pins the well-formedness invariants:
@@ -74,9 +64,9 @@ func checkTrace(t *testing.T, events []telemetry.Event) *causal.Graph {
 // cause still resolves.
 func TestCausalSurvivesCrashRestart(t *testing.T) {
 	p, init, fcfg := mustRejoin(t)
-	tracer, maker, done := causalRun(t, p, awcMaker(p, init))
+	tracer, done := causalRun(t, p)
 
-	res, err := Run(p, maker, Options{
+	res, err := Run(p, awcMaker(p, init), Options{
 		Timeout: 30 * time.Second,
 		Causal:  tracer,
 		Faults:  fcfg,
@@ -111,17 +101,18 @@ func TestCausalSurvivesCrashRestart(t *testing.T) {
 }
 
 // TestCausalSurvivesColdReconnect severs every worker connection mid-solve.
-// The worker redials, the resume handshake renegotiates causal tracing and
-// renumbers the link's transport sequence, and the replayed frames must
-// still carry their original trace IDs: the post-reconnect trace builds
-// cleanly with no duplicate and no dangling IDs.
+// The worker redials, the resume handshake renumbers the link's transport
+// sequence, and the replayed frames must still carry their original trace
+// IDs: the post-reconnect trace builds cleanly with no duplicate and no
+// dangling IDs. The hub holds no tracer: it relays the worker's IDs as
+// it relays any frame.
 func TestCausalSurvivesColdReconnect(t *testing.T) {
 	inst, err := gen.Coloring(15, 35, 3, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
 	init := gen.RandomInitial(inst.Problem, 78)
-	tracer, maker, done := causalRun(t, inst.Problem, awcMaker(inst.Problem, init))
+	tracer, done := causalRun(t, inst.Problem)
 
 	addrsCh := make(chan []string, 1)
 	type hubOut struct {
@@ -133,7 +124,6 @@ func TestCausalSurvivesColdReconnect(t *testing.T) {
 		res, err := Run(inst.Problem, awcMaker(inst.Problem, init), Options{
 			Timeout:        30 * time.Second,
 			External:       true,
-			CausalRelay:    true,
 			ReconnectGrace: 10 * time.Second,
 			OnListen:       func(addrs []string) { addrsCh <- addrs },
 		})
@@ -146,7 +136,7 @@ func TestCausalSurvivesColdReconnect(t *testing.T) {
 	statsCh := make(chan WorkerStats, 1)
 	workerErr := make(chan error, 1)
 	go func() {
-		st, err := RunWorker(inst.Problem, maker, WorkerOptions{
+		st, err := RunWorker(inst.Problem, awcMaker(inst.Problem, init), WorkerOptions{
 			Addrs:          []string{px.addr()},
 			Vars:           allVars(inst.Problem.NumVars()),
 			ConnectTimeout: 10 * time.Second,

@@ -139,16 +139,12 @@ type Options struct {
 	Telemetry *telemetry.Run
 	// Causal, when non-nil, traces the in-process nodes: one span per step,
 	// trace IDs on every message (carried across the sockets in
-	// Envelope.TSeq, negotiated per connection like Crc). Agent tracer
-	// handles survive crash-restarts and reconnections, so cause IDs stay
-	// stable across incarnations and link resets. Ignored (hub-side) under
-	// External; set CausalRelay there instead.
+	// Envelope.TSeq), and each agent's nogood lineage. Agent tracer handles
+	// survive crash-restarts and reconnections, so cause IDs stay stable
+	// across incarnations and link resets. Unused under External: the hub
+	// holds no agents, and it relays the trace IDs of traced workers
+	// whether or not this is set.
 	Causal *causal.Tracer
-	// CausalRelay lets the hub confirm causal negotiation with external
-	// workers that request it, so their trace IDs relay through even though
-	// the hub itself holds no tracer. Without it (and without Causal) every
-	// welcome declines, and traced workers degrade to untraced links.
-	CausalRelay bool
 
 	// Shards is the number of relay listeners the hub splits its socket
 	// plane across; 0 or 1 means a single listener. Node v connects to
@@ -203,40 +199,14 @@ type Result struct {
 	// Duration is the wall-clock run time.
 	Duration time.Duration
 
-	// Retransmits counts frames the nodes retransmitted because no ack
-	// arrived in time.
-	Retransmits int64
-	// DuplicatesSuppressed counts frames the nodes discarded as duplicates
-	// (injected copies and spurious retransmissions).
-	DuplicatesSuppressed int64
-	// Restarts counts nodes that crashed and rejoined from a checkpoint.
-	Restarts int64
-	// Reconnects counts re-hellos: node connections the hub replaced
-	// mid-run, whether from a checkpoint restart, a worker redial after a
-	// severed socket, or a cold process relaunch.
-	Reconnects int64
-	// HeartbeatTimeouts counts dead-peer declarations: registered nodes
-	// that went silent past DeadPeerTimeout.
-	HeartbeatTimeouts int64
-	// CorruptFrames counts frames rejected by the CRC32C trailer —
-	// injected by the fault schedule or damaged in flight — and recovered
-	// by retransmission. Sums the hub's readers and the in-process nodes';
-	// external workers count their own.
-	CorruptFrames int64
-	// Partitioned counts frames intercepted at a partition cut (held to the
-	// heal, or killed by a never-healing window).
-	Partitioned int64
-	// PartitionHeals counts scheduled partition windows that healed within
-	// the run's duration.
-	PartitionHeals int64
-
-	// BytesSent and BytesRecv count wire bytes crossing the hub's sockets
-	// (framing included): hub→nodes and nodes→hub respectively.
-	BytesSent int64
-	BytesRecv int64
-	// BatchedFrames counts frames that crossed the hub's sockets inside
-	// coalesced batch frames, both directions summed.
-	BatchedFrames int64
+	// Transport holds all eleven reliability and wire counters. Retransmits
+	// and DuplicatesSuppressed sum the nodes' links (spurious resends
+	// included); Reconnects counts every re-hello the hub accepted, from a
+	// checkpoint restart, a worker redial or a cold relaunch; CorruptFrames
+	// sums the hub's readers and the in-process nodes', while external
+	// workers count their own; the byte and batch counters are measured at
+	// the hub's sockets.
+	telemetry.Transport
 }
 
 // Reliable-transport tuning for the node loops. The base is far above a
@@ -414,7 +384,6 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		deadPeer:       deadPeer,
 		reconnectGrace: grace,
 		checksum:       opts.Checksum,
-		causalOn:       opts.Causal != nil || opts.CausalRelay,
 		external:       opts.External,
 		lastSeen:       make([]time.Time, n),
 		deadNotified:   make([]bool, n),
@@ -640,7 +609,6 @@ type hub struct {
 	deadPeer       time.Duration
 	reconnectGrace time.Duration
 	checksum       bool
-	causalOn       bool
 	external       bool
 	lastSeen       []time.Time       // last inbound frame per node
 	deadNotified   []bool            // dead-peer already counted (in-process runs)
@@ -745,19 +713,7 @@ func (h *hub) emitFinal(res Result, ctr *nodeCounters) {
 	}
 	reg.Counter("discsp_deliveries_total").Add(res.Messages)
 	reg.Counter("discsp_checks_total").Add(res.TotalChecks)
-	telemetry.Transport{
-		Retransmits:          res.Retransmits,
-		DuplicatesSuppressed: res.DuplicatesSuppressed,
-		Restarts:             res.Restarts,
-		Partitioned:          res.Partitioned,
-		PartitionHeals:       res.PartitionHeals,
-		Reconnects:           res.Reconnects,
-		HeartbeatTimeouts:    res.HeartbeatTimeouts,
-		CorruptFrames:        res.CorruptFrames,
-		BytesSent:            res.BytesSent,
-		BytesRecv:            res.BytesRecv,
-		BatchedFrames:        res.BatchedFrames,
-	}.Record(reg)
+	res.Transport.Record(reg)
 }
 
 // route is the hub's single-threaded event loop. All timers are managed
@@ -998,8 +954,7 @@ func (h *hub) register(rc *relayConn, hello wire.Envelope) error {
 	// The welcome names binary whatever codec the hello asked for; a node
 	// switches to the codec its welcome names.
 	crcOn := h.checksum && hello.Crc
-	causalOn := h.causalOn && hello.Causal
-	welcome := wire.Envelope{Type: wire.TypeWelcome, To: from, Codec: wire.CodecBinary.String(), Crc: crcOn, Causal: causalOn}
+	welcome := wire.Envelope{Type: wire.TypeWelcome, To: from, Codec: wire.CodecBinary.String(), Crc: crcOn}
 	if err := rc.fw.Send(&welcome); err != nil {
 		return h.writeFailed(rc, from, err)
 	}
@@ -1009,10 +964,6 @@ func (h *hub) register(rc *relayConn, hello wire.Envelope) error {
 	if crcOn {
 		rc.fw.EnableChecksum()
 		rc.crcOn = true
-	}
-	if causalOn {
-		// Trace IDs relay through: frames toward this node keep TSeq.
-		rc.fw.EnableCausal()
 	}
 	rc.fw.EnableBatching(batchMaxFrames, batchMaxBytes)
 	rc.node = from

@@ -30,7 +30,7 @@ type nodeConfig struct {
 	v         csp.Var
 	makeAgent func(v csp.Var) sim.Agent
 	crc       bool           // request the CRC32C frame trailer in the hello
-	causal    *causal.Tracer // non-nil requests causal tracing in the hello
+	causal    *causal.Tracer // non-nil traces the node; nil leaves it untraced
 	hb        time.Duration  // idle-link heartbeat period; 0 disables
 	inj       *faults.Injector
 	ckpts     *faults.Checkpoints
@@ -61,28 +61,6 @@ type nodeConfig struct {
 
 // defaultDrainWindow is the write-error classifier's inbound-drain bound.
 const defaultDrainWindow = time.Second
-
-// causeIn records the released batch as the open span's cause set; no-op
-// when tracing is off.
-func causeIn(at *causal.AgentTracer, in []sim.Message) {
-	if at == nil {
-		return
-	}
-	for _, m := range in {
-		at.Cause(m)
-	}
-}
-
-// stampOut assigns trace IDs to outgoing messages in place; no-op when
-// tracing is off.
-func stampOut(at *causal.AgentTracer, out []sim.Message) {
-	if at == nil {
-		return
-	}
-	for i, m := range out {
-		out[i] = at.Stamp(m, int(m.To()), sim.TypeName(m)).(sim.Message)
-	}
-}
 
 // defaultConnectTimeout bounds a worker node's dial-with-retry loop: long
 // enough to ride out a hub that launches after the worker or rebinds after
@@ -125,6 +103,7 @@ type nodeCheckpoint struct {
 // the checkpoint.
 type nodeState struct {
 	agent         sim.Agent
+	at            *causal.AgentTracer // the agent's tracer handle; nil when untraced
 	sendLinks     map[int]*wire.SendLink
 	recvLinks     map[int]*wire.RecvLink
 	steps         int
@@ -210,8 +189,12 @@ func runNode(cfg nodeConfig, incarnation int) (bool, error) {
 	if int(agent.ID()) != int(v) {
 		return false, fmt.Errorf("agent for variable %d has id %d", v, agent.ID())
 	}
+	// The tracer keeps one handle per variable, so trace-ID counters
+	// continue across sessions and incarnations: cause IDs stay stable even
+	// through a TypeReset link renumbering, which renumbers Seq, not TSeq.
 	st := &nodeState{
 		agent:     agent,
+		at:        cfg.causal.Attach(int(v), agent),
 		sendLinks: make(map[int]*wire.SendLink),
 		recvLinks: make(map[int]*wire.RecvLink),
 	}
@@ -401,7 +384,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	// everywhere.
 	resume := st.restored || session > 0
 	hello := wire.Envelope{Type: wire.TypeHello, From: int(v), Codec: wire.CodecBinary.String(),
-		Crc: cfg.crc, Causal: cfg.causal != nil, Resume: resume}
+		Crc: cfg.crc, Resume: resume}
 	failHello := func(err error) (sessionEnd, error) {
 		end, err := fail(err)
 		if end == endLost {
@@ -450,17 +433,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 		fr.EnableChecksum()
 		fw.EnableChecksum()
 	}
-	// The node's tracer handle. It survives sessions and incarnations (the
-	// Tracer keeps one handle per variable), so trace-ID counters continue
-	// across reconnections and crash-restarts — cause IDs stay stable even
-	// through a TypeReset link renumbering, which renumbers Seq, not TSeq.
-	// IDs are only emitted onto the socket when the welcome confirmed the
-	// negotiation; the spans themselves are still recorded so a trace of a
-	// mixed fleet keeps this node's side of the story.
-	at := cfg.causal.Agent(int(v))
-	if welcome.Causal {
-		fw.EnableCausal()
-	}
+	at := st.at
 	fw.EnableBatching(batchMaxFrames, batchMaxBytes)
 
 	now := time.Now()
@@ -488,7 +461,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 		at.Begin(causal.SpanInit, 0)
 		out := agent.Init()
 		st.initialized = true
-		stampOut(at, out)
+		sim.StampBatch(at, out)
 		at.End()
 		for _, m := range out {
 			env, err := wire.Encode(m)
@@ -649,9 +622,9 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 					var outFrames []wire.Envelope
 					if len(batch) > 0 {
 						at.Begin(causal.SpanStep, st.steps)
-						causeIn(at, batch)
+						sim.CauseBatch(at, batch)
 						out := agent.Step(batch)
-						stampOut(at, out)
+						sim.StampBatch(at, out)
 						at.End()
 						st.steps++
 						// Stamp the output into the send links BEFORE
@@ -739,7 +712,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 				if ra, ok := agent.(sim.Reannouncer); ok {
 					ms := ra.Reannounce(sim.AgentID(b))
 					at.Begin(causal.SpanStep, st.steps)
-					stampOut(at, ms)
+					sim.StampBatch(at, ms)
 					at.End()
 					for _, m := range ms {
 						env, err := wire.Encode(m)

@@ -347,8 +347,10 @@ func TestShardCodecMatrixCrashRestart(t *testing.T) {
 // TestWelcomeIsAlwaysBinary pins the fixed handshake from both ends. A
 // node whose hello asks for JSON, as workers built before the codec was
 // fixed do, is welcomed with binary and then heard in binary: a
-// one-variable hub solves on that node's binary state report. A node
-// welcomed with any other codec refuses the session.
+// one-variable hub solves on that node's binary state report. The hello
+// also carries the retired "causal" bid, as a traced worker built before
+// the bid was retired sends it, and the hub ignores it. A node welcomed
+// with any other codec refuses the session.
 func TestWelcomeIsAlwaysBinary(t *testing.T) {
 	p := csp.NewProblemUniform(1, 2)
 	type hubOut struct {
@@ -387,7 +389,10 @@ func TestWelcomeIsAlwaysBinary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	send(wire.Envelope{Type: wire.TypeHello, From: 0, To: -1, Codec: wire.CodecJSON.String()})
+	hello := `{"type":"ctl.hello","from":0,"to":-1,"codec":"json","causal":true}` + "\n"
+	if _, err := conn.Write([]byte(hello)); err != nil {
+		t.Fatal(err)
+	}
 	welcome, err := fr.Next()
 	if err != nil {
 		t.Fatal(err)

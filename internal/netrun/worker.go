@@ -10,6 +10,7 @@ import (
 	"github.com/discsp/discsp/internal/causal"
 	"github.com/discsp/discsp/internal/csp"
 	"github.com/discsp/discsp/internal/sim"
+	"github.com/discsp/discsp/internal/telemetry"
 )
 
 // WorkerOptions configures RunWorker.
@@ -34,28 +35,23 @@ type WorkerOptions struct {
 	// where the worker may launch before the hub listens, and on
 	// reconnection after a severed socket; 0 means 15s.
 	ConnectTimeout time.Duration
-	// Causal, when non-nil, traces this worker's nodes and requests causal
-	// trace-ID propagation in each hello; the hub confirms only when its
-	// run enabled Causal or CausalRelay. The caller owns the tracer (and
-	// its sink), so a worker relaunched with the same tracer keeps its
-	// trace-ID counters — cause IDs stay stable across cold reconnections.
+	// Causal, when non-nil, traces this worker's nodes; their trace IDs
+	// cross the hub whether or not the hub traces. The caller owns the
+	// tracer (and its sink), so a worker relaunched with the same tracer
+	// keeps its trace-ID counters — cause IDs stay stable across cold
+	// reconnections.
 	Causal *causal.Tracer
 }
 
 // WorkerStats reports one worker's transport totals after RunWorker
 // returns: the worker-side view of the counters the hub's Result carries
-// for in-process runs.
+// for in-process runs. It fills four of the block's counters: Reconnects
+// (sessions re-established after a severed connection, summed over the
+// worker's nodes), Retransmits, DuplicatesSuppressed, and CorruptFrames
+// (inbound frames rejected by the CRC32C trailer and recovered by
+// hub-side retransmission).
 type WorkerStats struct {
-	// Reconnects counts sessions re-established after a severed
-	// connection, summed over the worker's nodes.
-	Reconnects int64
-	// Retransmits counts frames resent past a lost ack.
-	Retransmits int64
-	// DuplicatesSuppressed counts deliveries absorbed by the dedup layer.
-	DuplicatesSuppressed int64
-	// CorruptFrames counts inbound frames rejected by the CRC32C trailer
-	// and recovered by hub-side retransmission.
-	CorruptFrames int64
+	telemetry.Transport
 }
 
 // RunWorker runs agent nodes against an external hub — a Run with
@@ -113,12 +109,12 @@ func RunWorker(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts W
 	}
 	wg.Wait()
 	close(errs)
-	stats := WorkerStats{
+	stats := WorkerStats{telemetry.Transport{
 		Reconnects:           ctr.reconnects.Load(),
 		Retransmits:          ctr.retransmits.Load(),
 		DuplicatesSuppressed: ctr.dups.Load(),
 		CorruptFrames:        ctr.corrupt.Load(),
-	}
+	}}
 	for err := range errs {
 		return stats, err
 	}

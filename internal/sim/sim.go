@@ -123,10 +123,11 @@ type Options struct {
 	// computation. It carries discsp.Options.Trace and the telemetry tee
 	// that writes the stream's cycle events.
 	Trace func(ev CycleEvent)
-	// Causal, when non-nil, records one span per agent activation and
-	// stamps every traced outgoing message with its trace ID (see
-	// internal/causal). Nil disables tracing with zero overhead: the loop
-	// holds nil handles and every tracing call returns immediately.
+	// Causal, when non-nil, records one span per agent activation, stamps
+	// every traced outgoing message with its trace ID, and attaches each
+	// agent's handle for its nogood lineage (see internal/causal). Nil
+	// disables tracing with zero overhead: the loop holds nil handles and
+	// every tracing call returns immediately.
 	Causal *causal.Tracer
 }
 
@@ -206,13 +207,14 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 	// messages. Startup is not counted as a cycle (the paper counts cycles
 	// of the message-driven loop), but its checks do count toward maxcck as
 	// a cycle-0 contribution so no computation escapes accounting.
-	// Per-agent tracing handles; all nil when tracing is off, so the loop
-	// body's tracing calls are no-ops.
+	// Per-agent tracing handles, also handed to each agent for its nogood
+	// lineage; all nil when tracing is off, so the loop body's tracing
+	// calls are no-ops.
 	var tracers []*causal.AgentTracer
 	if opts.Causal != nil {
 		tracers = make([]*causal.AgentTracer, len(agents))
 		for i, a := range agents {
-			tracers[i] = opts.Causal.Agent(int(a.ID()))
+			tracers[i] = opts.Causal.Attach(int(a.ID()), a)
 		}
 	}
 	tracerOf := func(i int) *causal.AgentTracer {
@@ -234,7 +236,7 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 		at := tracerOf(i)
 		at.Begin(causal.SpanInit, 0)
 		out := a.Init()
-		stampBatch(at, out)
+		StampBatch(at, out)
 		at.End()
 		route(inbox, out)
 		if c := a.Checks(); c > startupMax {
@@ -269,9 +271,9 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 			}
 			at := tracerOf(i)
 			at.Begin(causal.SpanStep, cycle)
-			causeBatch(at, in)
+			CauseBatch(at, in)
 			out := a.Step(in)
-			stampBatch(at, out)
+			StampBatch(at, out)
 			at.End()
 			messagesOut += len(out)
 			route(next, out)
@@ -403,9 +405,9 @@ func (c *typeCounts) byName() map[string]int {
 	return counts
 }
 
-// causeBatch records a delivery batch's trace IDs as causes of the open
-// span. No-op on a nil handle.
-func causeBatch(at *causal.AgentTracer, in []Message) {
+// CauseBatch records a delivery batch's trace IDs as causes of the open
+// span. No-op on a nil handle. Every runtime's step loop calls it.
+func CauseBatch(at *causal.AgentTracer, in []Message) {
 	if at == nil {
 		return
 	}
@@ -414,10 +416,10 @@ func causeBatch(at *causal.AgentTracer, in []Message) {
 	}
 }
 
-// stampBatch assigns trace IDs to an outgoing batch in place, recording
+// StampBatch assigns trace IDs to an outgoing batch in place, recording
 // each emission on the open span. No-op on a nil handle; messages that do
 // not implement causal.Traced pass through unchanged.
-func stampBatch(at *causal.AgentTracer, out []Message) {
+func StampBatch(at *causal.AgentTracer, out []Message) {
 	if at == nil {
 		return
 	}

@@ -10,7 +10,9 @@
 // frame-kind byte, see stream.go):
 //
 //	[type code: 1 byte]
-//	[flags: 1 byte]            bit0 = Insoluble
+//	[flags: 1 byte]            bit0 = Insoluble, bit1 = Crc, bit2 = Resume,
+//	                           bit3 = retired (reserved; decoders ignore
+//	                           it), bit4 = TSeq follows
 //	zigzag varints:            From, To, Value, Priority, Improve, Eval,
 //	                           Seq, Ack, Processed
 //	[uvarint len][bytes]       Codec
@@ -107,11 +109,11 @@ const (
 	flagInsoluble = 1 << 0
 	flagCrc       = 1 << 1
 	flagResume    = 1 << 2
-	flagCausal    = 1 << 3
+	// Bit 3 carried a causal-tracing handshake bid and is retired: it stays
+	// reserved, and the decoder ignores it.
+	//
 	// flagTSeq marks a frame whose layout is extended by a trailing zigzag
-	// TSeq. The flag (not the field) is what old decoders would trip over as
-	// trailing bytes, which is why FrameWriter strips TSeq unless the peer
-	// negotiated causal tracing (EnableCausal).
+	// TSeq, set whenever the envelope carries a trace ID.
 	flagTSeq = 1 << 4
 )
 
@@ -146,9 +148,6 @@ func (e *Envelope) appendBinary(buf []byte) ([]byte, error) {
 	}
 	if e.Resume {
 		flags |= flagResume
-	}
-	if e.Causal {
-		flags |= flagCausal
 	}
 	if e.TSeq != 0 {
 		flags |= flagTSeq
@@ -274,7 +273,6 @@ func (d *Decoder) Decode(b []byte) (Envelope, int, error) {
 	e.Insoluble = flags&flagInsoluble != 0
 	e.Crc = flags&flagCrc != 0
 	e.Resume = flags&flagResume != 0
-	e.Causal = flags&flagCausal != 0
 	e.From = int(r.zig())
 	e.To = int(r.zig())
 	e.Value = int(r.zig())

@@ -27,8 +27,8 @@ func sampleEnvelopes() []Envelope {
 		{Type: TypeAck, From: 2, To: 3, Ack: 99},
 		{Type: TypeHello, From: 12, To: -1, Codec: "binary"},
 		{Type: TypeWelcome, From: -1, To: 12, Codec: "json"},
-		{Type: TypeHello, From: 13, To: -1, Codec: "binary", Causal: true},
-		{Type: TypeWelcome, From: -1, To: 13, Codec: "binary", Crc: true, Causal: true},
+		{Type: TypeHello, From: 13, To: -1, Codec: "binary"},
+		{Type: TypeWelcome, From: -1, To: 13, Codec: "binary", Crc: true},
 		{Type: TypeCoreOk, From: 3, To: 5, Value: 1, Priority: 2, Seq: 7, TSeq: 42},
 		{Type: TypeCoreNogood, From: 5, To: 3, Lits: []Lit{{Var: 4, Val: 1}}, Seq: 8, TSeq: 1 << 40},
 		{Type: TypeState, From: 4, To: -1, Value: 1, Insoluble: true, Processed: 12345},
@@ -53,6 +53,27 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 		got.Detach()
 		if !reflect.DeepEqual(got, e) {
 			t.Errorf("%s: round trip mismatch:\n got %+v\nwant %+v", e.Type, got, e)
+		}
+	}
+}
+
+// TestDecoderIgnoresRetiredFlag: flag bit 3 once carried a handshake bid.
+// It stays reserved, so a frame with it set decodes exactly as one without.
+func TestDecoderIgnoresRetiredFlag(t *testing.T) {
+	var dec Decoder
+	for _, e := range sampleEnvelopes() {
+		buf, err := e.AppendTo(nil, CodecBinary)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", e.Type, err)
+		}
+		buf[1] |= 1 << 3
+		got, _, err := dec.Decode(buf)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", e.Type, err)
+		}
+		got.Detach()
+		if !reflect.DeepEqual(got, e) {
+			t.Errorf("%s: bit 3 changed the decode:\n got %+v\nwant %+v", e.Type, got, e)
 		}
 	}
 }

@@ -40,9 +40,6 @@ func (e *Envelope) appendJSON(buf []byte) []byte {
 	if e.Resume {
 		buf = append(buf, `,"resume":true`...)
 	}
-	if e.Causal {
-		buf = append(buf, `,"causal":true`...)
-	}
 	buf = appendIntField(buf, `,"tseq":`, e.TSeq)
 	return append(buf, '}')
 }

@@ -315,11 +315,10 @@ func (f *FrameReader) readUvarint() (uint64, error) {
 // coalescing them into batches. It is not safe for concurrent use; netrun
 // gives each connection one writer goroutine.
 type FrameWriter struct {
-	w      *bufio.Writer
-	codec  Codec
-	crc    bool
-	causal bool
-	batch  bool
+	w     *bufio.Writer
+	codec Codec
+	crc   bool
+	batch bool
 
 	maxFrames int
 	maxBytes  int
@@ -365,13 +364,6 @@ func (f *FrameWriter) SetCodec(c Codec) error {
 // (hello/welcome Crc) on a binary connection.
 func (f *FrameWriter) EnableChecksum() { f.crc = true }
 
-// EnableCausal lets subsequent frames carry the causal trace-ID field
-// (Envelope.TSeq). Until called, Send strips TSeq: a peer that did not
-// negotiate causal tracing (hello/welcome Causal) never sees the extended
-// binary layout, so mixed fleets of traced and untraced processes
-// interoperate — untraced links just lose the IDs.
-func (f *FrameWriter) EnableCausal() { f.causal = true }
-
 // EnableBatching turns on frame coalescing: pending frames are flushed as
 // one batch once maxFrames envelopes or maxBytes encoded bytes accumulate,
 // or on the next Flush (the caller's deadline bound).
@@ -387,15 +379,6 @@ func (f *FrameWriter) EnableBatching(maxFrames, maxBytes int) {
 // reach the socket no later than the next Flush.
 func (f *FrameWriter) Send(e *Envelope) error {
 	f.FramesWritten++
-	if e.TSeq != 0 && !f.causal {
-		// The peer did not negotiate causal tracing; drop the trace ID
-		// rather than send a layout it cannot parse. Copy so the caller's
-		// envelope (which may be queued for retransmission to a traced
-		// peer) keeps its ID.
-		clone := *e
-		clone.TSeq = 0
-		e = &clone
-	}
 	if !f.batch {
 		return f.writeFrame(e)
 	}

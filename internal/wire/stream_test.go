@@ -18,10 +18,6 @@ func pump(t *testing.T, codec Codec, batch bool, envs []Envelope) []Envelope {
 	if err := fw.SetCodec(codec); err != nil {
 		t.Fatal(err)
 	}
-	// pump models a fully-negotiated link, causal tracing included, so
-	// sample envelopes carrying TSeq survive; TestSendStripsTSeqUntilCausal
-	// pins the un-negotiated strip path.
-	fw.EnableCausal()
 	if batch {
 		fw.EnableBatching(8, 4<<10)
 	}
@@ -75,62 +71,6 @@ func TestStreamRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%v batch=%v: stream round trip mismatch\n got %+v\nwant %+v", codec, batch, got, want)
 			}
-		}
-	}
-}
-
-// TestSendStripsTSeqUntilCausal: a writer whose peer did not negotiate
-// causal tracing strips trace IDs rather than ship an extended layout the
-// peer cannot parse — and the strip clones, leaving the caller's envelope
-// (possibly queued for retransmission to a traced peer) intact.
-func TestSendStripsTSeqUntilCausal(t *testing.T) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		var sock bytes.Buffer
-		fw := NewFrameWriter(&sock)
-		if err := fw.SetCodec(codec); err != nil {
-			t.Fatal(err)
-		}
-		env := Envelope{Type: TypeCoreOk, From: 1, To: 2, Value: 3, Seq: 1, TSeq: 99}
-		if err := fw.Send(&env); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if env.TSeq != 99 {
-			t.Errorf("%v: Send mutated the caller's envelope: TSeq=%d", codec, env.TSeq)
-		}
-		fr := NewFrameReader(&sock)
-		fr.SetCodec(codec)
-		got, err := fr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.TSeq != 0 {
-			t.Errorf("%v: un-negotiated link leaked TSeq=%d", codec, got.TSeq)
-		}
-
-		// After negotiation the same envelope keeps its trace ID.
-		sock.Reset()
-		fw = NewFrameWriter(&sock)
-		if err := fw.SetCodec(codec); err != nil {
-			t.Fatal(err)
-		}
-		fw.EnableCausal()
-		if err := fw.Send(&env); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		fr = NewFrameReader(&sock)
-		fr.SetCodec(codec)
-		got, err = fr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.TSeq != 99 {
-			t.Errorf("%v: negotiated link lost TSeq: got %d", codec, got.TSeq)
 		}
 	}
 }

@@ -121,17 +121,13 @@ type Envelope struct {
 	// protocol.
 	Resume bool `json:"resume,omitempty"`
 
-	// Causal is the tracing half of the handshake, negotiated exactly like
-	// Crc: a hello sets it to request causal trace-ID propagation, the
-	// welcome sets it to confirm. Only after a confirming welcome does
-	// either side emit TSeq on data frames, so mixed fleets with untraced
-	// peers degrade gracefully (their messages simply carry no trace ID).
-	Causal bool `json:"causal,omitempty"`
 	// TSeq is the message's causal trace-ID sequence number (the Seq half
-	// of a causal.ID; the Agent half is From). 0 means untraced. Unlike
-	// Seq, TSeq is assigned by the sending agent's tracer and survives the
-	// TypeReset link renumbering — trace IDs stay stable across cold
-	// reconnections.
+	// of a causal.ID; the Agent half is From). 0 means untraced. Every
+	// frame whose message carries a trace ID carries it, with no
+	// negotiation: an untraced run stamps no IDs, so its frames never do.
+	// Unlike Seq, TSeq is assigned by the sending agent's tracer and
+	// survives the TypeReset link renumbering — trace IDs stay stable
+	// across cold reconnections.
 	TSeq int64 `json:"tseq,omitempty"`
 }
 

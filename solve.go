@@ -147,12 +147,15 @@ type Options struct {
 	// recv→compute→sends span, and every learned or stored nogood records
 	// its cause set — the schema-3 span events dcsptrace turns into the
 	// critical path, the nogood provenance DAG, and the Perfetto export.
-	// The stream may be the run's Telemetry bundle (spans interleave with
-	// the other events) or a separate one (a dedicated -trace-out file);
-	// a separate stream gets its own meta and end events so dcsptrace
-	// sees the runtime and verdict. Causal tracing is observationally
-	// inert: enabling it never changes verdicts, assignments, message
-	// counts, or any non-span event (pinned by TestCausalInert).
+	// Solve, SolveAsync, SolveTCP and SolveTCPWorker all read it. The
+	// stream may be the run's Telemetry bundle (spans interleave with the
+	// other events) or a separate one (a dedicated -trace-out file); a
+	// separate stream gets its own meta and end events so dcsptrace sees
+	// the runtime and verdict. Over TCP, trace IDs cross the hub with every
+	// traced message, whether or not the hub's own run is traced. Causal
+	// tracing is observationally inert: enabling it never changes
+	// verdicts, assignments, message counts, or any non-span event (pinned
+	// by TestCausalInert).
 	Causal *Telemetry
 	// WarmCache, when non-nil, warm-starts AWC from nogoods learned by
 	// previous runs: before the run each agent is seeded with the cached
@@ -225,32 +228,15 @@ type Result struct {
 	// Duration is the wall-clock time (SolveAsync only).
 	Duration time.Duration
 
-	// Transport counters (SolveAsync and SolveTCP). Nonzero counts mean the
-	// reliability layer did work: frames resent past a drop or partition,
-	// duplicate deliveries suppressed, crashed agents restarted from their
+	// TransportCounters holds the reliability and wire counters (SolveAsync
+	// and SolveTCP; the reconnect, heartbeat, corrupt-frame, byte and batch
+	// counters are SolveTCP only). Nonzero counts mean the reliability
+	// layer did work: frames resent past a drop or partition, duplicate
+	// deliveries suppressed, crashed agents restarted from their
 	// checkpoints. A clean TCP run may still retransmit under congestion.
-	Retransmits          int64
-	DuplicatesSuppressed int64
-	Restarts             int64
-	// Partitioned counts deliveries cut (and, for healing windows,
-	// deferred) by a partition; PartitionHeals counts windows that healed
-	// within the run.
-	Partitioned    int64
-	PartitionHeals int64
-	// Reconnects counts node connections re-established mid-run (worker
-	// redials and cold process relaunches); HeartbeatTimeouts counts
-	// dead-peer declarations; CorruptFrames counts frames rejected by the
-	// CRC32C trailer and recovered by retransmission (SolveTCP only).
-	Reconnects        int64
-	HeartbeatTimeouts int64
-	CorruptFrames     int64
-
-	// Wire-level counters (SolveTCP only). BytesSent and BytesRecv count
-	// bytes crossing the hub's sockets (hub→nodes and nodes→hub);
-	// BatchedFrames counts frames that traveled inside coalesced batches.
-	BytesSent     int64
-	BytesRecv     int64
-	BatchedFrames int64
+	// Its Suffix method renders the " retrans=… dups=…" block every CLI
+	// surface appends.
+	TransportCounters
 }
 
 func (o Options) learning() core.Learning {
@@ -365,30 +351,30 @@ func harvestWarmCache(cache *NogoodCache, p *Problem, agents []sim.Agent) {
 	cache.Put(p, all)
 }
 
-// causalStart builds the run's tracer from Options.Causal. A causal stream
-// separate from the run's Telemetry stream gets its own meta event so the
-// graph builder learns the runtime (it classifies inter-span latency as
-// queue vs. wire from it).
-func (o Options) causalStart(p *Problem, runtime string) *causal.Tracer {
-	if o.Causal == nil {
-		return nil
+// startRun opens a run's observation: the meta event on Telemetry, and on
+// Causal when that is a separate stream (the graph builder learns the
+// runtime from it, and classifies inter-span latency as queue vs. wire),
+// then the tracer over Causal (nil when Causal is).
+func (o Options) startRun(p *Problem, runtime string) *causal.Tracer {
+	meta := telemetry.Event{
+		Kind:      telemetry.KindMeta,
+		Runtime:   runtime,
+		Algorithm: o.AlgorithmName(),
+		Vars:      p.NumVars(),
+		Nogoods:   p.NumNogoods(),
 	}
+	o.Telemetry.Emit(meta)
 	if o.Causal != o.Telemetry {
-		o.Causal.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   runtime,
-			Algorithm: o.AlgorithmName(),
-			Vars:      p.NumVars(),
-			Nogoods:   p.NumNogoods(),
-		})
+		o.Causal.Emit(meta)
 	}
 	return causal.New(o.Causal, p)
 }
 
-// causalEnd closes a separate causal stream with the run verdict — which
-// doubles as the stream-completeness marker dcsptrace requires. When the
-// causal stream is the Telemetry stream, the telemetry finalizers already
-// close it.
+// causalEnd closes a separate causal stream with the run verdict (a
+// worker, which has none, passes a zero Result) — the end event doubles as
+// the stream-completeness marker dcsptrace requires. When the causal
+// stream is the Telemetry stream, the telemetry finalizers already close
+// it.
 func (o Options) causalEnd(out Result) {
 	if o.Causal == nil || o.Causal == o.Telemetry {
 		return
@@ -405,27 +391,6 @@ func (o Options) causalEnd(out Result) {
 	})
 }
 
-// causalAttach is implemented by agents that record learn/store/consult
-// events against their tracer handle.
-type causalAttach interface{ SetCausal(*causal.AgentTracer) }
-
-// withCausal wraps makeAgent so every built agent — including a
-// crash-restarted incarnation, which the runtimes rebuild through the same
-// constructor — attaches its tracer handle. Tracer.Agent returns the same
-// handle every time, so restarts continue their predecessor's numbering.
-func withCausal(tr *causal.Tracer, makeAgent func(v csp.Var) sim.Agent) func(v csp.Var) sim.Agent {
-	if tr == nil {
-		return makeAgent
-	}
-	return func(v csp.Var) sim.Agent {
-		a := makeAgent(v)
-		if ca, ok := a.(causalAttach); ok {
-			ca.SetCausal(tr.Agent(int(v)))
-		}
-		return a
-	}
-}
-
 // Solve runs the selected algorithm on the deterministic synchronous
 // simulator and reports the paper's cost metrics.
 func Solve(p *Problem, opts Options) (Result, error) {
@@ -433,18 +398,11 @@ func Solve(p *Problem, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	tracer := opts.causalStart(p, "sync")
-	agents := buildAgents(p.NumVars(), withCausal(tracer, opts.makeAgent(p, init)))
+	tracer := opts.startRun(p, "sync")
+	agents := buildAgents(p.NumVars(), opts.makeAgent(p, init))
 	trace := opts.Trace
 	tel := opts.Telemetry
 	if tel != nil {
-		tel.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   "sync",
-			Algorithm: opts.AlgorithmName(),
-			Vars:      p.NumVars(),
-			Nogoods:   p.NumNogoods(),
-		})
 		instrumentAgents(tel.Registry(), agents)
 		trace = teeCycleEvents(tel, agents, opts.Trace)
 	}
@@ -563,7 +521,7 @@ func emitNetFinal(tel *Telemetry, out Result) {
 		Messages:    out.Messages,
 		DurationUS:  out.Duration.Microseconds(),
 	}
-	if t := out.Transport(); !t.IsZero() {
+	if t := out.TransportCounters; !t.IsZero() {
 		ev.Transport = &t
 	}
 	tel.Emit(ev)
@@ -582,17 +540,8 @@ func SolveAsync(p *Problem, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Telemetry != nil {
-		opts.Telemetry.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   "async",
-			Algorithm: opts.AlgorithmName(),
-			Vars:      p.NumVars(),
-			Nogoods:   p.NumNogoods(),
-		})
-	}
-	tracer := opts.causalStart(p, "async")
-	res, err := async.Run(p, withCausal(tracer, opts.makeAgent(p, init)), async.Options{
+	tracer := opts.startRun(p, "async")
+	res, err := async.Run(p, opts.makeAgent(p, init), async.Options{
 		Timeout:         opts.Timeout,
 		MaxJitter:       opts.MaxJitter,
 		Seed:            opts.InitialSeed,
@@ -602,17 +551,13 @@ func SolveAsync(p *Problem, opts Options) (Result, error) {
 		Causal:          tracer,
 	})
 	out := Result{
-		Solved:               res.Solved,
-		Insoluble:            res.Insoluble,
-		Assignment:           res.Assignment,
-		TotalChecks:          res.TotalChecks,
-		Messages:             res.Messages,
-		Duration:             res.Duration,
-		Retransmits:          res.Retransmits,
-		DuplicatesSuppressed: res.DuplicatesSuppressed,
-		Restarts:             res.Restarts,
-		Partitioned:          res.Partitioned,
-		PartitionHeals:       res.PartitionHeals,
+		Solved:            res.Solved,
+		Insoluble:         res.Insoluble,
+		Assignment:        res.Assignment,
+		TotalChecks:       res.TotalChecks,
+		Messages:          res.Messages,
+		Duration:          res.Duration,
+		TransportCounters: res.Transport,
 	}
 	emitNetFinal(opts.Telemetry, out)
 	opts.causalEnd(out)
@@ -635,23 +580,13 @@ func SolveTCP(p *Problem, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Telemetry != nil {
-		opts.Telemetry.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   "tcp",
-			Algorithm: opts.AlgorithmName(),
-			Vars:      p.NumVars(),
-			Nogoods:   p.NumNogoods(),
-		})
-	}
-	tracer := opts.causalStart(p, "tcp")
-	res, err := netrun.Run(p, withCausal(tracer, opts.makeAgent(p, init)), netrun.Options{
+	tracer := opts.startRun(p, "tcp")
+	res, err := netrun.Run(p, opts.makeAgent(p, init), netrun.Options{
 		Timeout:         opts.Timeout,
 		Faults:          fcfg,
 		WatchdogCadence: opts.WatchdogCadence,
 		Telemetry:       opts.Telemetry,
 		Causal:          tracer,
-		CausalRelay:     opts.Causal != nil,
 		Shards:          opts.TCPShards,
 		Transport:       opts.TCPTransport,
 		ReconnectGrace:  opts.TCPReconnectGrace,
@@ -660,23 +595,13 @@ func SolveTCP(p *Problem, opts Options) (Result, error) {
 		OnListen:        opts.TCPOnListen,
 	})
 	out := Result{
-		Solved:               res.Solved,
-		Insoluble:            res.Insoluble,
-		Assignment:           res.Assignment,
-		TotalChecks:          res.TotalChecks,
-		Messages:             res.Messages,
-		Duration:             res.Duration,
-		Retransmits:          res.Retransmits,
-		DuplicatesSuppressed: res.DuplicatesSuppressed,
-		Restarts:             res.Restarts,
-		Partitioned:          res.Partitioned,
-		PartitionHeals:       res.PartitionHeals,
-		Reconnects:           res.Reconnects,
-		HeartbeatTimeouts:    res.HeartbeatTimeouts,
-		CorruptFrames:        res.CorruptFrames,
-		BytesSent:            res.BytesSent,
-		BytesRecv:            res.BytesRecv,
-		BatchedFrames:        res.BatchedFrames,
+		Solved:            res.Solved,
+		Insoluble:         res.Insoluble,
+		Assignment:        res.Assignment,
+		TotalChecks:       res.TotalChecks,
+		Messages:          res.Messages,
+		Duration:          res.Duration,
+		TransportCounters: res.Transport,
 	}
 	emitNetFinal(opts.Telemetry, out)
 	opts.causalEnd(out)
@@ -701,58 +626,40 @@ type TCPWorkerOptions struct {
 	// startup (the worker may launch before the hub listens) and when
 	// redialing after a severed connection; 0 means 15s.
 	ConnectTimeout time.Duration
-	// Causal, when non-nil, traces this worker's nodes: spans and stamped
-	// trace IDs are written to the stream, and each node's hello requests
-	// trace-ID propagation (the hub confirms when its run set Causal).
-	// Worker streams carry no verdict — the hub's stream does — but are
-	// closed with an end marker so dcsptrace accepts them. Each worker
-	// process's stream is self-consistent on its own.
-	Causal *Telemetry
 }
 
 // TCPWorkerStats reports one worker process's transport totals after
 // SolveTCPWorker returns — the worker-side view of the reliability counters
-// the hub's Result carries for in-process runs.
-type TCPWorkerStats struct {
-	// Reconnects counts node sessions re-established after a severed
-	// connection.
-	Reconnects int64
-	// Retransmits counts frames resent past a lost ack.
-	Retransmits int64
-	// DuplicatesSuppressed counts deliveries absorbed by the dedup layer.
-	DuplicatesSuppressed int64
-	// CorruptFrames counts inbound frames rejected by the CRC32C trailer
-	// and recovered by hub-side retransmission.
-	CorruptFrames int64
-}
+// the hub's Result carries for in-process runs: Reconnects, Retransmits,
+// DuplicatesSuppressed and CorruptFrames.
+type TCPWorkerStats = netrun.WorkerStats
 
 // SolveTCPWorker runs agent nodes for a subset of p's variables against an
 // external SolveTCP hub (one started with Options.TCPExternal — in another
 // goroutine, process, or machine; cmd/dcspnode is the process form). opts
 // supplies the algorithm configuration, which must match the hub's problem,
 // and TCPTransport for this worker's side of its links: Checksum requests
-// the frame trailer, which takes effect when the hub armed it too. It blocks until the hub finishes the run and tears the
-// connections down; the hub's SolveTCP result carries the verdict, and the
-// returned stats carry this worker's transport totals. Workers survive a
-// hub that is not yet listening (dial retry until ConnectTimeout) and
-// connections severed mid-solve (redial, re-hello, and replay).
+// the frame trailer, which takes effect when the hub armed it too.
+// Options.Causal traces this worker's nodes into its own stream, whether or
+// not the hub traces; the stream is self-consistent on its own and ends
+// with an end event that carries no verdict (the hub's result does).
+// Options.Telemetry is an error: the hub records a run's telemetry, and a
+// worker has no event sink. SolveTCPWorker blocks until the hub finishes
+// the run and tears the connections down; the hub's SolveTCP result carries
+// the verdict, and the returned stats carry this worker's transport totals.
+// Workers survive a hub that is not yet listening (dial retry until
+// ConnectTimeout) and connections severed mid-solve (redial, re-hello, and
+// replay).
 func SolveTCPWorker(p *Problem, opts Options, w TCPWorkerOptions) (TCPWorkerStats, error) {
+	if opts.Telemetry != nil {
+		return TCPWorkerStats{}, errors.New("discsp: SolveTCPWorker takes no Options.Telemetry: the hub's SolveTCP records the run's telemetry (trace a worker with Options.Causal)")
+	}
 	init, err := opts.initial(p)
 	if err != nil {
 		return TCPWorkerStats{}, err
 	}
-	var tracer *causal.Tracer
-	if w.Causal != nil {
-		w.Causal.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   "tcp",
-			Algorithm: opts.AlgorithmName(),
-			Vars:      p.NumVars(),
-			Nogoods:   p.NumNogoods(),
-		})
-		tracer = causal.New(w.Causal, p)
-	}
-	st, err := netrun.RunWorker(p, withCausal(tracer, opts.makeAgent(p, init)), netrun.WorkerOptions{
+	tracer := opts.startRun(p, "tcp")
+	st, err := netrun.RunWorker(p, opts.makeAgent(p, init), netrun.WorkerOptions{
 		Addrs:          w.Addrs,
 		Vars:           w.Vars,
 		Transport:      opts.TCPTransport,
@@ -760,15 +667,8 @@ func SolveTCPWorker(p *Problem, opts Options, w TCPWorkerOptions) (TCPWorkerStat
 		ConnectTimeout: w.ConnectTimeout,
 		Causal:         tracer,
 	})
-	if w.Causal != nil {
-		w.Causal.Emit(telemetry.Event{Kind: telemetry.KindEnd})
-	}
-	return TCPWorkerStats{
-		Reconnects:           st.Reconnects,
-		Retransmits:          st.Retransmits,
-		DuplicatesSuppressed: st.DuplicatesSuppressed,
-		CorruptFrames:        st.CorruptFrames,
-	}, err
+	opts.causalEnd(Result{})
+	return st, err
 }
 
 // IsTimeout reports whether err is (or wraps) a runtime deadline expiry

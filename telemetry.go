@@ -18,8 +18,9 @@ type Telemetry = telemetry.Run
 // hand it to Options.Telemetry, and serve or snapshot it.
 type MetricsRegistry = telemetry.Registry
 
-// TransportCounters is the shared reliability-layer counter block; see
-// Result.Transport.
+// TransportCounters is the shared reliability-layer counter block that
+// Result embeds: Suffix() renders the " retrans=… dups=…" block every CLI
+// surface appends, and Record() folds the counters into a registry.
 type TransportCounters = telemetry.Transport
 
 // NewMetricsRegistry returns an empty metrics registry.
@@ -37,25 +38,6 @@ func NewTelemetry(reg *MetricsRegistry, w io.Writer) *Telemetry {
 // an ephemeral port; the returned server's Addr has the bound address.
 func ServeMetrics(addr string, reg *MetricsRegistry) (*telemetry.Server, error) {
 	return telemetry.Serve(addr, reg)
-}
-
-// Transport returns the run's reliability-layer counters as the shared
-// formatter type: Suffix() renders the " retrans=… dups=…" block every CLI
-// surface appends, and Record() folds the counters into a registry.
-func (r Result) Transport() TransportCounters {
-	return TransportCounters{
-		Retransmits:          r.Retransmits,
-		DuplicatesSuppressed: r.DuplicatesSuppressed,
-		Restarts:             r.Restarts,
-		Partitioned:          r.Partitioned,
-		PartitionHeals:       r.PartitionHeals,
-		Reconnects:           r.Reconnects,
-		HeartbeatTimeouts:    r.HeartbeatTimeouts,
-		CorruptFrames:        r.CorruptFrames,
-		BytesSent:            r.BytesSent,
-		BytesRecv:            r.BytesRecv,
-		BatchedFrames:        r.BatchedFrames,
-	}
 }
 
 // AlgorithmName returns the run's label in the tables' naming scheme:
