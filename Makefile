@@ -12,6 +12,11 @@ RACE_PKGS = ./internal/async/... ./internal/netrun/... ./internal/multi/... \
         bench-smoke bench-json bench-gate bench-e2e-smoke bench-warm bench-wire \
         scale-smoke service-smoke soak staticcheck govulncheck ci
 
+# The warm-start workload behind BENCH_6.json, minus its output file:
+# bench-warm writes BENCH_6.json with it, and bench-smoke checks that it
+# still reproduces the committed file byte for byte.
+BENCH_WARM = $(GO) run ./cmd/dcspbench -warmstart all -instances 10 -inits 3 -progress=false
+
 # The paired (ref vs dense) benchmarks bench-json compares.
 BENCH_PAIRED = BenchmarkProbeViewCheckLoop|BenchmarkStoreAddPruning|BenchmarkResolventDerivation|BenchmarkTable1Representations
 
@@ -134,8 +139,19 @@ trace:
 		echo "dcspsolve -block accepted -telemetry" >&2; exit 1; \
 	fi
 
+# One iteration of the Table-1 benchmarks, then the two harness paths that
+# call the solver facade: the runtime comparison with its tcp leg traced
+# across two relay shards (dcsptrace must find a non-empty critical path),
+# and the warm-start workload, which must reproduce BENCH_6.json exactly.
 bench-smoke:
 	$(GO) test -bench=BenchmarkTable1 -benchtime=1x -run='^$$' -timeout 10m .
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/" ./cmd/dcspbench ./cmd/dcsptrace && \
+	"$$tmp/dcspbench" -runtimes d3c -sweepn 20 -shards 2 -causal -trace-out "$$tmp/runtimes.jsonl" && \
+	"$$tmp/dcsptrace" -critical-path "$$tmp/runtimes.jsonl" | tee "$$tmp/path.txt" && \
+	grep -Eq 'critical path: [1-9]' "$$tmp/path.txt" && \
+	$(BENCH_WARM) -warmout "$$tmp/b6.json" && \
+	cmp "$$tmp/b6.json" BENCH_6.json
 
 # Regenerates BENCH_2.json: runs the benchmarks that pair a map-backed
 # reference variant (/ref) against the dense default (/dense) and converts
@@ -208,8 +224,7 @@ service-smoke:
 # cache-seeded solves of the same instance) across all three families at
 # paper sizes, 10 instances x 3 initializations per cell.
 bench-warm:
-	$(GO) run ./cmd/dcspbench -warmstart all -instances 10 -inits 3 -progress=false \
-		-warmout BENCH_6.json
+	$(BENCH_WARM) -warmout BENCH_6.json
 
 # The nightly retention soak: long bounded-store runs across families and
 # both eviction policies, asserting the learned population never exceeds

@@ -40,6 +40,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/discsp/discsp"
 	"github.com/discsp/discsp/internal/experiments"
 	"github.com/discsp/discsp/internal/faults"
 	"github.com/discsp/discsp/internal/gen"
@@ -149,8 +150,7 @@ func run() error {
 		return fmt.Errorf("unknown format %q (want text or markdown)", *format)
 	}
 
-	fcfg, err := faults.ParseProfile(*faultsArg, *faultSeed)
-	if err != nil {
+	if _, err := faults.ParseProfile(*faultsArg, *faultSeed); err != nil {
 		return err
 	}
 	if *warmOut != "" && *warmstart == "" {
@@ -211,7 +211,7 @@ func run() error {
 	case *warmstart != "":
 		return printWarmStart(*warmstart, scale, *warmOut)
 	case *runtimes != "":
-		tcp := experiments.TCPOptions{Shards: *shards}
+		opts := discsp.Options{FaultProfile: *faultsArg, FaultSeed: *faultSeed, TCPShards: *shards}
 		if *causalOn != (*causalOut != "") {
 			return fmt.Errorf("-causal and -trace-out go together")
 		}
@@ -221,15 +221,14 @@ func run() error {
 				return err
 			}
 			defer f.Close()
-			ct := telemetry.NewRun(nil, f)
+			opts.Causal = discsp.NewTelemetry(nil, f)
 			defer func() {
-				if err := ct.Flush(); err != nil {
+				if err := opts.Causal.Flush(); err != nil {
 					fmt.Fprintln(os.Stderr, "dcspbench: causal trace stream:", err)
 				}
 			}()
-			tcp.Causal = ct
 		}
-		return printRuntimes(*runtimes, *sweepN, scale, fcfg, tcp, markdown)
+		return printRuntimes(*runtimes, *sweepN, scale, opts, markdown)
 	case *blocks != "":
 		return printBlockSweep(*blocks, *sweepN, scale)
 	case *sweep != "":
@@ -301,7 +300,7 @@ func printSweep(kindName string, n int, scale experiments.Scale) error {
 	return err
 }
 
-func printRuntimes(kindName string, n int, scale experiments.Scale, fcfg *faults.Config, tcp experiments.TCPOptions, markdown bool) error {
+func printRuntimes(kindName string, n int, scale experiments.Scale, opts discsp.Options, markdown bool) error {
 	kind, err := parseKind(kindName)
 	if err != nil {
 		return err
@@ -310,12 +309,15 @@ func printRuntimes(kindName string, n int, scale experiments.Scale, fcfg *faults
 	if err != nil {
 		return err
 	}
-	initial := gen.RandomInitial(problem, 2+scale.SeedBase)
-	results, err := experiments.CompareRuntimesWith(problem, initial, experiments.BestLearning(kind), 0, fcfg, tcp)
+	learning := experiments.BestLearning(kind)
+	opts.Learning = discsp.LearnResolvent
+	opts.LearningSizeBound = learning.SizeBound
+	opts.Initial = gen.RandomInitial(problem, 2+scale.SeedBase)
+	results, err := experiments.CompareRuntimes(problem, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Runtime comparison: %s n=%d, AWC+%s\n", kind, n, experiments.BestLearning(kind).Name())
+	fmt.Printf("Runtime comparison: %s n=%d, AWC+%s\n", kind, n, learning.Name())
 	if markdown {
 		return experiments.MarkdownRuntimes(os.Stdout, results)
 	}

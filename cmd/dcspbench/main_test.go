@@ -1,10 +1,83 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"github.com/discsp/discsp/internal/causal"
 	"github.com/discsp/discsp/internal/experiments"
+	"github.com/discsp/discsp/internal/telemetry"
 )
+
+// runCLI runs the command on args, as if typed after "dcspbench".
+func runCLI(t *testing.T, args ...string) {
+	t.Helper()
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
+	os.Args = append([]string{"dcspbench"}, args...)
+	flag.CommandLine = flag.NewFlagSet("dcspbench", flag.ContinueOnError)
+	if err := run(); err != nil {
+		t.Fatalf("dcspbench %v: %v", args, err)
+	}
+}
+
+// TestCompareRuntimesTracedTCP traces the tcp leg of a runtime comparison
+// across two relay shards. The sync and async legs run untraced, so the
+// stream holds exactly one run: after the schema header it opens with the
+// tcp meta event, closes with one end event, holds step spans, and rebuilds
+// into a causal graph with no dangling cause.
+func TestCompareRuntimesTracedTCP(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runtimes.jsonl")
+	runCLI(t, "-runtimes", "d3c", "-sweepn", "20", "-shards", "2", "-causal", "-trace-out", path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := telemetry.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.CheckComplete(events); err != nil {
+		t.Fatal(err)
+	}
+	g, err := causal.BuildGraph(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dang := g.Dangling(); len(dang) > 0 {
+		t.Errorf("%d dangling cause IDs (first %s)", len(dang), dang[0])
+	}
+	if len(events) < 2 || events[0].Schema == 0 {
+		t.Fatalf("the stream opens without its schema header: %d events", len(events))
+	}
+	if first := events[1]; first.Kind != telemetry.KindMeta || first.Runtime != "tcp" {
+		t.Errorf("first run event = %+v, want the tcp meta event", first)
+	}
+	ends := 0
+	for _, ev := range events {
+		if ev.Kind == telemetry.KindEnd {
+			ends++
+		}
+	}
+	if last := events[len(events)-1]; ends != 1 || last.Kind != telemetry.KindEnd {
+		t.Errorf("%d end events, last event %q; want exactly one, last", ends, last.Kind)
+	}
+	steps := 0
+	for _, n := range g.Nodes {
+		if n.Kind == causal.SpanStep {
+			steps++
+		}
+	}
+	if steps == 0 {
+		t.Error("the stream holds no step spans")
+	}
+	if !g.Solved {
+		t.Error("the tcp leg's end event carries no solved verdict")
+	}
+}
 
 func TestParseNs(t *testing.T) {
 	tests := []struct {

@@ -82,30 +82,16 @@ func run() error {
 	}
 
 	opts := discsp.Options{
-		InitialSeed:  *seed,
-		TCPTransport: discsp.TCPTransport{Checksum: *wireCRC, Heartbeat: *heartbeat, DeadPeerTimeout: *deadPeer},
+		InitialSeed:       *seed,
+		LearningSizeBound: *k,
+		TCPTransport:      discsp.TCPTransport{Checksum: *wireCRC, Heartbeat: *heartbeat, DeadPeerTimeout: *deadPeer},
 	}
-	switch *algo {
-	case "awc":
-		opts.Algorithm = discsp.AWC
-	case "db":
-		opts.Algorithm = discsp.DB
-	case "abt":
-		opts.Algorithm = discsp.ABT
-	default:
-		return fmt.Errorf("unknown algorithm %q (want awc, db, or abt)", *algo)
+	if opts.Algorithm, err = discsp.ParseAlgorithm(*algo); err != nil {
+		return err
 	}
-	switch *learn {
-	case "rslv":
-		opts.Learning = discsp.LearnResolvent
-	case "mcs":
-		opts.Learning = discsp.LearnMCS
-	case "none":
-		opts.Learning = discsp.LearnNone
-	default:
-		return fmt.Errorf("unknown learning %q (want rslv, mcs, or none)", *learn)
+	if opts.Learning, err = discsp.ParseLearning(*learn); err != nil {
+		return err
 	}
-	opts.LearningSizeBound = *k
 	ret, err := discsp.ParseRetention(*retention)
 	if err != nil {
 		return err

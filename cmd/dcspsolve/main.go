@@ -146,31 +146,17 @@ func run() error {
 	}
 
 	opts := discsp.Options{
-		InitialSeed: *seed,
-		MaxCycles:   *maxCycles,
-		Timeout:     *timeout,
+		InitialSeed:       *seed,
+		MaxCycles:         *maxCycles,
+		Timeout:           *timeout,
+		LearningSizeBound: *k,
 	}
-	switch *algo {
-	case "awc":
-		opts.Algorithm = discsp.AWC
-	case "db":
-		opts.Algorithm = discsp.DB
-	case "abt":
-		opts.Algorithm = discsp.ABT
-	default:
-		return fmt.Errorf("unknown algorithm %q (want awc, db, abt, central, or wcs)", *algo)
+	if opts.Algorithm, err = discsp.ParseAlgorithm(*algo); err != nil {
+		return err
 	}
-	switch *learn {
-	case "rslv":
-		opts.Learning = discsp.LearnResolvent
-	case "mcs":
-		opts.Learning = discsp.LearnMCS
-	case "none":
-		opts.Learning = discsp.LearnNone
-	default:
-		return fmt.Errorf("unknown learning %q (want rslv, mcs, or none)", *learn)
+	if opts.Learning, err = discsp.ParseLearning(*learn); err != nil {
+		return err
 	}
-	opts.LearningSizeBound = *k
 	ret, err := discsp.ParseRetention(*retention)
 	if err != nil {
 		return err

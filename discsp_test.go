@@ -463,6 +463,60 @@ func TestSolveTCPWorkerRejectsTelemetry(t *testing.T) {
 	}
 }
 
+// TestParseRunVocabulary pins the names every surface accepts for -algo
+// and -learn, and that anything else, the empty string included, is an
+// error.
+func TestParseRunVocabulary(t *testing.T) {
+	algos := map[string]discsp.AlgorithmKind{"awc": discsp.AWC, "db": discsp.DB, "abt": discsp.ABT}
+	for name, want := range algos {
+		if got, err := discsp.ParseAlgorithm(name); err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	learners := map[string]discsp.LearningKind{"rslv": discsp.LearnResolvent, "mcs": discsp.LearnMCS, "none": discsp.LearnNone}
+	for name, want := range learners {
+		if got, err := discsp.ParseLearning(name); err != nil || got != want {
+			t.Errorf("ParseLearning(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "AWC", "central"} {
+		if _, err := discsp.ParseAlgorithm(bad); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted", bad)
+		}
+		if _, err := discsp.ParseLearning(bad); err == nil {
+			t.Errorf("ParseLearning(%q) accepted", bad)
+		}
+	}
+}
+
+// TestSolveTCPExternalRejectsCausal: a hub whose agents all live in
+// external workers has no spans to record, so Options.Causal is an error
+// that names where the spans are recorded, returned before the hub listens
+// and before anything reaches the stream.
+func TestSolveTCPExternalRejectsCausal(t *testing.T) {
+	var stream bytes.Buffer
+	listened := false
+	opts := discsp.Options{
+		Timeout:     time.Second,
+		TCPExternal: true,
+		TCPOnListen: func([]string) { listened = true },
+		Causal:      discsp.NewTelemetry(nil, &stream),
+	}
+	_, err := discsp.SolveTCP(chain(t, 4, 3), opts)
+	if err == nil || !strings.Contains(err.Error(), "SolveTCPWorker") || !strings.Contains(err.Error(), "dcspnode -causal") {
+		t.Errorf("SolveTCP with TCPExternal and Causal: err = %v, want one naming SolveTCPWorker and dcspnode -causal", err)
+	}
+	if listened {
+		t.Error("the hub listened before rejecting Causal")
+	}
+	if err := opts.Causal.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(stream.String(), `"runtime"`) {
+		t.Errorf("the rejected run wrote its meta event: %s", stream.String())
+	}
+}
+
 // TestMessagesByTypeNamesAWCKinds pins the delivery profile's keys on a
 // seeded sync AWC+Rslv solve: the ok? and nogood kinds appear under their
 // package-qualified names, whatever representation they travel in, no

@@ -13,12 +13,10 @@ import (
 // entries and links are canonically sorted by variable.
 type Snapshot struct {
 	Value csp.Value
-	// Nogoods is the full store in insertion order (initial constraints the
-	// agent evaluates plus recorded nogoods). Kept alongside Store for
-	// older consumers; Store is authoritative when populated.
-	Nogoods []csp.Nogood
-	// Store carries the retention metadata (pinned flags, stamps, hits) so
-	// bounded-store runs resume eviction decisions exactly.
+	// Store is the full store in insertion order (initial constraints the
+	// agent evaluates plus recorded nogoods) with its retention metadata
+	// (pinned flags, stamps, hits), so bounded-store runs resume eviction
+	// decisions exactly.
 	Store    nogood.State
 	Checks   int64
 	ViewVars []csp.Var
@@ -35,7 +33,6 @@ var _ sim.Checkpointer = (*Agent)(nil)
 func (a *Agent) Checkpoint() any {
 	s := &Snapshot{
 		Value:     a.value,
-		Nogoods:   a.store.Snapshot(),
 		Store:     a.store.State(),
 		Checks:    a.counter.Total(),
 		Insoluble: a.insoluble,
@@ -68,11 +65,7 @@ func (a *Agent) Restore(snapshot any) error {
 		return fmt.Errorf("abt: corrupt snapshot: view slices of unequal length")
 	}
 	a.value = s.Value
-	if s.Store.Nogoods != nil {
-		a.store.RestoreState(s.Store)
-	} else {
-		a.store.Restore(s.Nogoods)
-	}
+	a.store.RestoreState(s.Store)
 	a.counter.Restore(s.Checks)
 	a.insoluble = s.Insoluble
 	a.stats = s.Stats

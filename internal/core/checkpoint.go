@@ -17,13 +17,10 @@ import (
 type Snapshot struct {
 	Value    csp.Value
 	Priority int
-	// Nogoods is the full store in insertion order: the initial constraints
-	// plus everything learned. Kept alongside Store for older consumers;
-	// Store is authoritative when populated.
-	Nogoods []csp.Nogood
-	// Store is the full store state including retention metadata (pinned
-	// flags, recency stamps, hit counts), so bounded-store runs resume
-	// their eviction decisions exactly where the checkpoint left them.
+	// Store is the full store in insertion order (the initial constraints
+	// plus everything learned) with its retention metadata (pinned flags,
+	// recency stamps, hit counts), so bounded-store runs resume their
+	// eviction decisions exactly where the checkpoint left them.
 	Store  nogood.State
 	Checks int64
 	// ViewVars/ViewVals/ViewPrios are the agent_view, sorted by variable.
@@ -48,7 +45,6 @@ func (a *Agent) Checkpoint() any {
 	s := &Snapshot{
 		Value:     a.value,
 		Priority:  a.priority,
-		Nogoods:   a.store.Snapshot(),
 		Store:     a.store.State(),
 		Checks:    a.counter.Total(),
 		Insoluble: a.insoluble,
@@ -109,11 +105,7 @@ func (a *Agent) Restore(snapshot any) error {
 		return fmt.Errorf("core: corrupt snapshot: view slices of unequal length")
 	}
 	a.priority = s.Priority
-	if s.Store.Nogoods != nil {
-		a.store.RestoreState(s.Store)
-	} else {
-		a.store.Restore(s.Nogoods)
-	}
+	a.store.RestoreState(s.Store)
 	a.counter.Restore(s.Checks)
 	a.insoluble = s.Insoluble
 	a.stats = s.Stats

@@ -91,9 +91,6 @@ func TestCheckpointCanonicalAcrossRepresentations(t *testing.T) {
 	// equal snapshots can differ in the unexported cached key; rebuild every
 	// nogood to compare canonical forms.
 	normalize := func(s *Snapshot) {
-		for i, ng := range s.Nogoods {
-			s.Nogoods[i] = csp.MustNogood(ng.Lits()...)
-		}
 		for i, ng := range s.Store.Nogoods {
 			s.Store.Nogoods[i] = csp.MustNogood(ng.Lits()...)
 		}

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/discsp/discsp"
 	"github.com/discsp/discsp/internal/core"
 	"github.com/discsp/discsp/internal/csp"
-	"github.com/discsp/discsp/internal/faults"
 	"github.com/discsp/discsp/internal/gen"
 	"github.com/discsp/discsp/internal/sim"
 )
@@ -460,8 +460,7 @@ func TestCompareRuntimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial := gen.RandomInitial(problem, 78)
-	results, err := CompareRuntimes(problem, initial, core.Learning{Kind: core.LearnResolvent}, 20*time.Second, nil)
+	results, err := CompareRuntimes(problem, discsp.Options{InitialSeed: 78, Timeout: 20 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,14 +499,12 @@ func TestCompareRuntimesWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial := gen.RandomInitial(problem, 78)
-	fcfg := &faults.Config{
-		Seed:       5,
-		Drop:       0.05,
-		Duplicate:  0.05,
-		Partitions: []faults.Partition{{At: 0, Dur: 100 * time.Millisecond}},
-	}
-	results, err := CompareRuntimes(problem, initial, core.Learning{Kind: core.LearnResolvent}, 30*time.Second, fcfg)
+	results, err := CompareRuntimes(problem, discsp.Options{
+		InitialSeed:  78,
+		Timeout:      30 * time.Second,
+		FaultProfile: "drop=0.05,dup=0.05,partition=0s+100ms",
+		FaultSeed:    5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

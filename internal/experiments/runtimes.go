@@ -6,141 +6,48 @@ import (
 	"strings"
 	"time"
 
-	"github.com/discsp/discsp/internal/async"
-	"github.com/discsp/discsp/internal/causal"
-	"github.com/discsp/discsp/internal/core"
-	"github.com/discsp/discsp/internal/csp"
-	"github.com/discsp/discsp/internal/faults"
-	"github.com/discsp/discsp/internal/netrun"
-	"github.com/discsp/discsp/internal/sim"
+	"github.com/discsp/discsp"
 	"github.com/discsp/discsp/internal/telemetry"
 )
 
-// RuntimeResult is one runtime's outcome on one instance.
+// RuntimeResult is one runtime's outcome on one instance. Cycles is only
+// meaningful for the synchronous simulator, Messages counts delivered
+// (sync/async) or routed (tcp) messages, and the transport counters stay
+// zero for sync, which has no network to misbehave.
 type RuntimeResult struct {
 	// Runtime names the execution substrate: "sync", "async", or "tcp".
 	Runtime string
-	Solved  bool
-	// Cycles is only meaningful for the synchronous simulator.
-	Cycles int
-	// Messages counts delivered (sync/async) or routed (tcp) messages.
-	Messages int64
-	// Duration is the wall-clock time of the run.
-	Duration time.Duration
-
-	// Transport is the shared reliability-layer counter block, populated by
-	// the async and tcp runtimes when a fault schedule is active (always
-	// zero for sync, which has no network to misbehave).
-	Transport telemetry.Transport
+	discsp.Result
 }
 
-// CompareRuntimes runs AWC with the given learning on the same instance and
-// initial values across all three runtimes — the Section 5 "other types of
-// distributed systems" comparison. Wall-clock durations are inherently
-// machine-dependent; the interesting outputs are the solved flags and the
-// message counts (the async and TCP runtimes react per message instead of
-// per lockstep wave, so they typically exchange more).
-//
-// fcfg, when non-nil, injects the deterministic fault schedule into the
-// async and tcp runtimes (the synchronous simulator has no network, so it
-// runs clean either way); the per-runtime transport counters then report
-// what the faults cost.
-func CompareRuntimes(problem *csp.Problem, initial csp.SliceAssignment, learning core.Learning, timeout time.Duration, fcfg *faults.Config) ([]RuntimeResult, error) {
-	return CompareRuntimesWith(problem, initial, learning, timeout, fcfg, TCPOptions{})
-}
-
-// TCPOptions carries the tcp leg's options: the relay shard count, whose
-// choice leaves the verdict and message count unchanged, and causal
-// tracing.
-type TCPOptions struct {
-	Shards int
-	// Causal, when non-nil, causally traces the tcp leg (the leg whose
-	// transit edges cross real sockets) into this stream: meta, the span
-	// events, and the leg's end verdict. The sync and async legs run
-	// untraced, so the stream holds exactly one traced run.
-	Causal *telemetry.Run
-}
-
-// CompareRuntimesWith is CompareRuntimes with explicit tcp options.
-func CompareRuntimesWith(problem *csp.Problem, initial csp.SliceAssignment, learning core.Learning, timeout time.Duration, fcfg *faults.Config, tcp TCPOptions) ([]RuntimeResult, error) {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	makeAgent := func(v csp.Var) sim.Agent {
-		return core.NewAgent(v, problem, initial[v], learning)
-	}
-	var out []RuntimeResult
-
+// CompareRuntimes runs one configuration on the same instance and initial
+// values across all three runtimes (Solve, SolveAsync and SolveTCP) — the
+// Section 5 "other types of distributed systems" comparison. Wall-clock
+// durations are inherently machine-dependent; the interesting outputs are
+// the solved flags and the message counts (the async and TCP runtimes react
+// per message instead of per lockstep wave, so they typically exchange
+// more). A fault profile in opts reaches the async and tcp legs only, and
+// the transport counters then report what the faults cost. opts.Causal
+// traces the tcp leg alone, the one whose transit edges cross real sockets,
+// so its stream holds exactly one traced run.
+func CompareRuntimes(p *discsp.Problem, opts discsp.Options) ([]RuntimeResult, error) {
+	untraced := opts
+	untraced.Causal = nil
 	start := time.Now()
-	syncRes, err := sim.Run(problem, buildSimAgents(problem.NumVars(), makeAgent), sim.Options{})
+	syncRes, err := discsp.Solve(p, untraced)
 	if err != nil {
 		return nil, fmt.Errorf("sync: %w", err)
 	}
-	out = append(out, RuntimeResult{
-		Runtime:  "sync",
-		Solved:   syncRes.Solved,
-		Cycles:   syncRes.Cycles,
-		Messages: int64(syncRes.Messages),
-		Duration: time.Since(start),
-	})
-
-	asyncRes, err := async.Run(problem, makeAgent, async.Options{Timeout: timeout, Faults: fcfg})
+	syncRes.Duration = time.Since(start)
+	asyncRes, err := discsp.SolveAsync(p, untraced)
 	if err != nil {
 		return nil, fmt.Errorf("async: %w", err)
 	}
-	out = append(out, RuntimeResult{
-		Runtime:   "async",
-		Solved:    asyncRes.Solved,
-		Messages:  asyncRes.Messages,
-		Duration:  asyncRes.Duration,
-		Transport: asyncRes.Transport,
-	})
-
-	if tcp.Causal != nil {
-		tcp.Causal.Emit(telemetry.Event{
-			Kind:      telemetry.KindMeta,
-			Runtime:   "tcp",
-			Algorithm: "AWC-" + learning.Name(),
-			Vars:      problem.NumVars(),
-			Nogoods:   problem.NumNogoods(),
-		})
-	}
-	tracer := causal.New(tcp.Causal, problem)
-	tcpRes, err := netrun.Run(problem, makeAgent, netrun.Options{
-		Timeout: timeout,
-		Faults:  fcfg,
-		Shards:  tcp.Shards,
-		Causal:  tracer,
-	})
+	tcpRes, err := discsp.SolveTCP(p, opts)
 	if err != nil {
 		return nil, fmt.Errorf("tcp: %w", err)
 	}
-	if tcp.Causal != nil {
-		tcp.Causal.Emit(telemetry.Event{
-			Kind:        telemetry.KindEnd,
-			Solved:      tcpRes.Solved,
-			Insoluble:   tcpRes.Insoluble,
-			TotalChecks: tcpRes.TotalChecks,
-			Messages:    tcpRes.Messages,
-			DurationUS:  tcpRes.Duration.Microseconds(),
-		})
-	}
-	out = append(out, RuntimeResult{
-		Runtime:   "tcp",
-		Solved:    tcpRes.Solved,
-		Messages:  tcpRes.Messages,
-		Duration:  tcpRes.Duration,
-		Transport: tcpRes.Transport,
-	})
-	return out, nil
-}
-
-func buildSimAgents(n int, makeAgent func(csp.Var) sim.Agent) []sim.Agent {
-	agents := make([]sim.Agent, n)
-	for v := 0; v < n; v++ {
-		agents[v] = makeAgent(csp.Var(v))
-	}
-	return agents
+	return []RuntimeResult{{"sync", syncRes}, {"async", asyncRes}, {"tcp", tcpRes}}, nil
 }
 
 // transportWidths aligns the text table's transport columns; indexed like
@@ -166,7 +73,7 @@ func FprintRuntimes(w io.Writer, results []RuntimeResult) error {
 		}
 		fmt.Fprintf(&b, "  %-6s %-7v %-8s %-10d %-12v",
 			r.Runtime, r.Solved, cycles, r.Messages, r.Duration.Round(time.Microsecond))
-		for i, v := range r.Transport.Values() {
+		for i, v := range r.TransportCounters.Values() {
 			fmt.Fprintf(&b, " %-*d", transportWidths[i], v)
 		}
 		b.WriteByte('\n')
@@ -196,7 +103,7 @@ func MarkdownRuntimes(w io.Writer, results []RuntimeResult) error {
 		}
 		fmt.Fprintf(&b, "| %s | %v | %s | %d | %v |",
 			r.Runtime, r.Solved, cycles, r.Messages, r.Duration.Round(time.Microsecond))
-		for _, v := range r.Transport.Values() {
+		for _, v := range r.TransportCounters.Values() {
 			fmt.Fprintf(&b, " %d |", v)
 		}
 		b.WriteByte('\n')

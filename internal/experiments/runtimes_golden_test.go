@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/discsp/discsp"
 	"github.com/discsp/discsp/internal/telemetry"
 )
 
@@ -17,11 +18,11 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // rendering is byte-stable) exercising both a clean sync row and fault-laden
 // network rows.
 var goldenResults = []RuntimeResult{
-	{Runtime: "sync", Solved: true, Cycles: 42, Messages: 1234, Duration: 1500 * time.Microsecond},
-	{Runtime: "async", Solved: true, Messages: 5678, Duration: 2250 * time.Microsecond,
-		Transport: telemetry.Transport{Retransmits: 3, DuplicatesSuppressed: 2, Restarts: 1}},
-	{Runtime: "tcp", Solved: false, Messages: 9012, Duration: 30 * time.Second,
-		Transport: telemetry.Transport{Retransmits: 17, DuplicatesSuppressed: 9, Partitioned: 40, PartitionHeals: 1}},
+	{"sync", discsp.Result{Solved: true, Cycles: 42, Messages: 1234, Duration: 1500 * time.Microsecond}},
+	{"async", discsp.Result{Solved: true, Messages: 5678, Duration: 2250 * time.Microsecond,
+		TransportCounters: telemetry.Transport{Retransmits: 3, DuplicatesSuppressed: 2, Restarts: 1}}},
+	{"tcp", discsp.Result{Solved: false, Messages: 9012, Duration: 30 * time.Second,
+		TransportCounters: telemetry.Transport{Retransmits: 17, DuplicatesSuppressed: 9, Partitioned: 40, PartitionHeals: 1}}},
 }
 
 func checkGolden(t *testing.T, name string, got string) {

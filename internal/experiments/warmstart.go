@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/discsp/discsp/internal/core"
-	"github.com/discsp/discsp/internal/csp"
+	"github.com/discsp/discsp"
 	"github.com/discsp/discsp/internal/gen"
-	"github.com/discsp/discsp/internal/nogood"
-	"github.com/discsp/discsp/internal/sim"
 )
 
 // WarmStartResult aggregates the repeat-solve workload for one family × n:
@@ -52,29 +49,28 @@ func reduction(cold, warm float64) float64 {
 
 // WarmStart measures the warm-start benefit on a repeat-solve workload.
 //
-// For each (instance, initialization) trial of the scale: the cold run
-// solves the instance from scratch and its surviving learned nogoods are
-// harvested into a nogood.Cache keyed by the instance's signature — exactly
-// the Solve/harvest/Save/Load/seed path the discsp facade runs across
-// processes, minus the disk round-trip. The warm run then re-solves the
-// *same* instance from the *same* initial assignment with every agent's
-// store seeded from the cache: the crash-restart / re-verification scenario
-// the resumable-experiment machinery exists for, where the second solve
-// should not pay to re-derive what the first one learned. Seeding is
-// uncharged (structural bookkeeping, like receiving a NogoodMsg before the
-// clock starts), so warm checks are directly comparable to cold.
+// For each (instance, initialization) trial of the scale, discsp.Solve runs
+// twice on one Options value whose WarmCache starts empty. The cold run
+// solves the instance from scratch and harvests its surviving learned
+// nogoods into the cache — the Solve/harvest/Save/Load/seed path the facade
+// runs across processes, minus the disk round-trip. The warm run then
+// re-solves the *same* instance from the *same* initial assignment with
+// every agent's store seeded from the cache: the crash-restart /
+// re-verification scenario the resumable-experiment machinery exists for,
+// where the second solve should not pay to re-derive what the first one
+// learned. Seeding is uncharged (structural bookkeeping, like receiving a
+// NogoodMsg before the clock starts), so warm checks are directly
+// comparable to cold.
 //
 // Learning is the family's best size-bounded configuration (BestLearning),
 // matching how a user would actually run a repeat-solve workload. Retention
 // from the scale is applied to both sides of every pair.
 func WarmStart(kind ProblemKind, n int, scale Scale) (WarmStartResult, error) {
 	instances, inits := scale.trials(kind)
-	maxCycles := scale.maxCycles()
 	learning := BestLearning(kind)
-	learning.Retention = scale.Retention
 
 	type pair struct {
-		cold, warm TrialResult
+		cold, warm discsp.Result
 		seeded     bool
 	}
 	type instResult struct {
@@ -88,22 +84,26 @@ func WarmStart(kind ProblemKind, n int, scale Scale) (WarmStartResult, error) {
 		if err != nil {
 			return fmt.Errorf("warmstart %v n=%d instance %d: %w", kind, n, i, err)
 		}
-		opts := sim.Options{MaxCycles: maxCycles}
 		for j := 0; j < inits; j++ {
-			init := gen.RandomInitial(problem, initSeed(scale.SeedBase, kind, n, i, j))
-			cold, agents, err := runSeededAWC(problem, init, learning, nil, opts)
+			opts := discsp.Options{
+				Learning:          discsp.LearnResolvent,
+				LearningSizeBound: learning.SizeBound,
+				Retention:         scale.Retention,
+				Initial:           gen.RandomInitial(problem, initSeed(scale.SeedBase, kind, n, i, j)),
+				MaxCycles:         scale.maxCycles(),
+				WarmCache:         discsp.NewNogoodCache(),
+			}
+			cold, err := discsp.Solve(problem, opts)
 			if err != nil {
 				return fmt.Errorf("warmstart %v n=%d instance %d init %d cold: %w", kind, n, i, j, err)
 			}
-			cache := nogood.NewCache()
-			cache.Put(problem, harvestLearned(agents))
-			results[i].cacheCount += cache.Len()
-			seeds := seedsPerVar(problem, cache)
-			warm, _, err := runSeededAWC(problem, init, learning, seeds, opts)
+			harvested := opts.WarmCache.Len()
+			results[i].cacheCount += harvested
+			warm, err := discsp.Solve(problem, opts)
 			if err != nil {
 				return fmt.Errorf("warmstart %v n=%d instance %d init %d warm: %w", kind, n, i, j, err)
 			}
-			results[i].pairs = append(results[i].pairs, pair{cold: cold, warm: warm, seeded: seeds != nil})
+			results[i].pairs = append(results[i].pairs, pair{cold: cold, warm: warm, seeded: harvested > 0})
 		}
 		return nil
 	}); err != nil {
@@ -142,67 +142,4 @@ func WarmStart(kind ProblemKind, n int, scale Scale) (WarmStartResult, error) {
 		out.WarmSolved = 100 * float64(warmSolved) / np
 	}
 	return out, nil
-}
-
-// runSeededAWC runs one AWC trial, seeding each agent's store from seeds
-// (per-variable grouping; nil = cold) before the first cycle.
-func runSeededAWC(p *csp.Problem, init csp.SliceAssignment, l core.Learning, seeds [][]csp.Nogood, opts sim.Options) (TrialResult, []*core.Agent, error) {
-	agents := make([]sim.Agent, p.NumVars())
-	awcAgents := make([]*core.Agent, p.NumVars())
-	for v := 0; v < p.NumVars(); v++ {
-		a := core.NewAgent(csp.Var(v), p, init[v], l)
-		if seeds != nil {
-			a.SeedNogoods(seeds[v])
-		}
-		awcAgents[v] = a
-		agents[v] = a
-	}
-	res, err := sim.Run(p, agents, opts)
-	if err != nil {
-		return TrialResult{}, nil, err
-	}
-	tr := TrialResult{Result: res}
-	for _, a := range awcAgents {
-		st := a.Stats()
-		tr.RedundantGenerations += st.RedundantGenerations
-		tr.NogoodsGenerated += st.NogoodsGenerated
-		tr.Deadends += st.Deadends
-	}
-	return tr, awcAgents, nil
-}
-
-// harvestLearned collects the surviving learned nogoods across agents,
-// deduplicated by canonical key — the in-process mirror of the facade's
-// post-Solve warm-cache harvest.
-func harvestLearned(agents []*core.Agent) []csp.Nogood {
-	var all []csp.Nogood
-	seen := make(map[string]struct{})
-	for _, a := range agents {
-		for _, ng := range a.LearnedNogoods() {
-			if _, dup := seen[ng.Key()]; dup {
-				continue
-			}
-			seen[ng.Key()] = struct{}{}
-			all = append(all, ng)
-		}
-	}
-	return all
-}
-
-// seedsPerVar resolves the cache against p and groups the admissible
-// nogoods per variable they mention — the same fan-out Options.warmSeeds
-// performs in the facade. Nil when the cache has nothing admissible.
-func seedsPerVar(p *csp.Problem, cache *nogood.Cache) [][]csp.Nogood {
-	cached := cache.Seed(p)
-	if len(cached) == 0 {
-		return nil
-	}
-	seeds := make([][]csp.Nogood, p.NumVars())
-	for _, ng := range cached {
-		for i := 0; i < ng.Len(); i++ {
-			v := ng.At(i).Var
-			seeds[v] = append(seeds[v], ng)
-		}
-	}
-	return seeds
 }

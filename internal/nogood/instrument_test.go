@@ -55,9 +55,9 @@ func TestStoreInstrumentTracksSize(t *testing.T) {
 }
 
 // TestStoreRestoreDoesNotDoubleCountLengths pins the crash-restart rule: a
-// restored snapshot resets the gauge to the snapshot's size but replayed
-// nogoods are not re-observed in the length histogram (they were counted
-// when first learned).
+// restored state resets the gauge to the state's size but replayed nogoods
+// are not re-observed in the length histogram (they were counted when first
+// learned).
 func TestStoreRestoreDoesNotDoubleCountLengths(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	size := reg.Gauge("store")
@@ -67,18 +67,18 @@ func TestStoreRestoreDoesNotDoubleCountLengths(t *testing.T) {
 	s.Instrument(telemetry.StoreMetrics{Size: size, Lengths: lens})
 	s.Add(csp.MustNogood(lit(0, 1)))
 	s.Add(csp.MustNogood(lit(1, 0), lit(2, 1)))
-	snap := s.Snapshot()
+	st := s.State()
 	if lens.Count() != 2 {
 		t.Fatalf("histogram count = %d before restore, want 2", lens.Count())
 	}
 
 	s.Add(csp.MustNogood(lit(3, 2)))
-	s.Restore(snap)
+	s.RestoreState(st)
 	if size.Value() != 2 {
-		t.Errorf("gauge after Restore = %d, want 2", size.Value())
+		t.Errorf("gauge after RestoreState = %d, want 2", size.Value())
 	}
 	if lens.Count() != 3 {
-		t.Errorf("histogram count after Restore = %d, want 3 (replay must not re-observe)", lens.Count())
+		t.Errorf("histogram count after RestoreState = %d, want 3 (replay must not re-observe)", lens.Count())
 	}
 
 	// The hook survives the restore: new learning is observed again.
@@ -98,7 +98,7 @@ func TestStoreUninstrumentedIsNilSafe(t *testing.T) {
 	s.Add(csp.MustNogood(lit(0, 1)))
 	var c Counter
 	s.AddPruning(csp.MustNogood(lit(1, 0)), &c)
-	s.Restore(s.Snapshot())
+	s.RestoreState(s.State())
 	if s.Len() != 2 {
 		t.Fatalf("store len = %d, want 2", s.Len())
 	}

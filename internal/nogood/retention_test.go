@@ -372,8 +372,6 @@ func TestShiftsTrackPositionMoves(t *testing.T) {
 		t.Fatalf("evict+insert: Len %d -> %d, %d evictions; test premise broken", lenBefore, s.Len(), s.Evictions())
 	}
 	step("evict+insert", true)
-	s.Restore(s.Snapshot())
-	step("Restore", true)
 	s.RestoreState(s.State())
 	step("RestoreState", true)
 }
@@ -452,11 +450,11 @@ func TestStateRoundTripRetention(t *testing.T) {
 }
 
 // TestRestoreAfterEvictionChurn extends TestRestoreAfterPruningChurn to
-// bounded stores: a legacy Restore into a store whose positions have been
+// bounded stores: RestoreState into a store whose positions have been
 // shifted by eviction churn must rebuild every index correctly (no drift
-// between the nogood slice, the key index, and the posting lists) and pin
-// the restored entries, and a State round-trip through the same churn must
-// keep the structural indexes driving pruning correctly.
+// between the nogood slice, the key index, and the posting lists), restore
+// the pin flags as checkpointed, and keep the structural indexes driving
+// pruning correctly.
 func TestRestoreAfterEvictionChurn(t *testing.T) {
 	s := NewRetention(Retention{Kind: RetainLRU, Cap: 4})
 	s.AddPinned(csp.MustNogood(lit(0, 1), lit(1, 0), lit(2, 0)))
@@ -467,31 +465,23 @@ func TestRestoreAfterEvictionChurn(t *testing.T) {
 	if s.Evictions() == 0 {
 		t.Fatal("setup produced no evictions")
 	}
-	snap := s.Snapshot()
+	st := s.State()
 
-	// Churn past the snapshot, then legacy-restore.
+	// Churn past the checkpoint, then restore.
 	for i := 0; i < 9; i++ {
 		s.Add(csp.MustNogood(lit(csp.Var(10+i), 0)))
 	}
-	s.Restore(snap)
-	if s.Len() != len(snap) {
-		t.Fatalf("restored Len=%d, want %d", s.Len(), len(snap))
+	s.RestoreState(st)
+	if s.Len() != len(st.Nogoods) {
+		t.Fatalf("restored Len=%d, want %d", s.Len(), len(st.Nogoods))
 	}
-	for i, ng := range snap {
+	for i, ng := range st.Nogoods {
 		if !s.At(i).Equal(ng) || !s.Contains(ng) {
 			t.Fatalf("restored position %d holds %v, want %v", i, s.At(i), ng)
 		}
 	}
-	// Legacy restore pins conservatively: nothing is evictable, so further
-	// adds under the cap never remove restored entries.
-	if s.PinnedLen() != s.Len() {
-		t.Fatalf("legacy Restore pinned %d of %d", s.PinnedLen(), s.Len())
-	}
-	s.Add(csp.MustNogood(lit(20, 0)))
-	for _, ng := range snap {
-		if !s.Contains(ng) {
-			t.Fatalf("restored entry %v evicted after legacy Restore", ng)
-		}
+	if s.PinnedLen() != 1 {
+		t.Fatalf("RestoreState pinned %d entries, want the 1 checkpointed pin", s.PinnedLen())
 	}
 
 	// The rebuilt indexes must drive pruning over restored contents: a

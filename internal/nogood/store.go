@@ -357,47 +357,6 @@ func (s *Store) Learned() []csp.Nogood {
 	return out
 }
 
-// Snapshot returns the stored nogoods in insertion order as a freshly
-// allocated slice. Nogoods are immutable, so sharing them between the store
-// and the snapshot is safe; the slice itself is a copy, so later inserts
-// and prunes leave the snapshot untouched. Together with Restore this is
-// the durable-state API crash-restart recovery checkpoints through.
-// Bounded stores should checkpoint through State/RestoreState instead,
-// which also carry the retention metadata.
-func (s *Store) Snapshot() []csp.Nogood {
-	cp := make([]csp.Nogood, len(s.nogoods))
-	copy(cp, s.nogoods)
-	return cp
-}
-
-// Restore replaces the store's entire contents with a snapshot, rebuilding
-// every index. Charging: none — recovery replays state that was already
-// paid for when first learned; re-charging it would double-count the
-// paper's check metric across a restart.
-//
-// Restored entries are conservatively pinned: a bare nogood slice does not
-// say which entries were initial constraints, and evicting an initial
-// constraint would be unsound, so a plain Restore trades eviction
-// eligibility for safety. Checkpoints that must round-trip retention
-// bookkeeping use State/RestoreState.
-func (s *Store) Restore(ngs []csp.Nogood) {
-	s.reset(len(ngs))
-	// Replayed nogoods were observed in the length histogram when first
-	// learned; re-observing them across a restart would double-count, so
-	// the histogram hook is parked for the replay. The size gauge is kept
-	// live — it tracks current state, not accumulation.
-	hist := s.lenHist
-	s.lenHist = nil
-	for _, ng := range ngs {
-		if _, dup := s.index[ng.Key()]; dup {
-			continue
-		}
-		s.insert(ng, entryMeta{pinned: true, stamp: s.tick()})
-	}
-	s.lenHist = hist
-	s.sizeGauge.Set(int64(len(s.nogoods)))
-}
-
 // reset empties the store in place, keeping allocated index storage.
 func (s *Store) reset(sizeHint int) {
 	s.nogoods = s.nogoods[:0]
@@ -427,7 +386,10 @@ type State struct {
 }
 
 // State captures the store's full state, including retention metadata.
-// Like Snapshot, the returned slices are fresh copies.
+// The returned slices are fresh copies: nogoods are immutable, so sharing
+// them is safe, and later inserts and prunes leave the state untouched.
+// Together with RestoreState this is the durable-state API crash-restart
+// recovery checkpoints through.
 func (s *Store) State() State {
 	st := State{
 		Nogoods: make([]csp.Nogood, len(s.nogoods)),
@@ -447,12 +409,18 @@ func (s *Store) State() State {
 }
 
 // RestoreState replaces the store's contents with a State, rebuilding every
-// index and resuming the retention clock. Charging and histogram parking
-// follow Restore: recovery replays already-paid-for state. The retention
-// policy itself is not part of the state — it belongs to the store (the
-// run's configuration), not the checkpoint.
+// index and resuming the retention clock; a nogood listed twice is restored
+// once. Charging: none — recovery replays state that was already paid for
+// when first learned; re-charging it would double-count the paper's check
+// metric across a restart. The retention policy itself is not part of the
+// state — it belongs to the store (the run's configuration), not the
+// checkpoint.
 func (s *Store) RestoreState(st State) {
 	s.reset(len(st.Nogoods))
+	// Replayed nogoods were observed in the length histogram when first
+	// learned; re-observing them across a restart would double-count, so
+	// the histogram hook is parked for the replay. The size gauge is kept
+	// live — it tracks current state, not accumulation.
 	hist := s.lenHist
 	s.lenHist = nil
 	for i, ng := range st.Nogoods {

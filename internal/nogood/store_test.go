@@ -363,7 +363,10 @@ func TestStoreIndexedMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
+// TestStateRestore checkpoints a store, mutates it past the checkpoint, and
+// restores: the state must not alias the store's later mutations, and the
+// rebuilt indexes must drive pruning over the restored contents.
+func TestStateRestore(t *testing.T) {
 	s := New()
 	ngs := []csp.Nogood{
 		csp.MustNogood(csp.Lit{Var: 0, Val: 1}, csp.Lit{Var: 1, Val: 2}),
@@ -373,25 +376,25 @@ func TestSnapshotRestore(t *testing.T) {
 	for _, ng := range ngs {
 		s.Add(ng)
 	}
-	snap := s.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d nogoods, want 3", len(snap))
+	st := s.State()
+	if len(st.Nogoods) != 3 {
+		t.Fatalf("state has %d nogoods, want 3", len(st.Nogoods))
 	}
 
-	// Mutate past the snapshot: prune (the 2-lit nogood subsumes the 3-lit
+	// Mutate past the checkpoint: prune (the 2-lit nogood subsumes the 3-lit
 	// one) and add.
 	s.AddPruning(csp.MustNogood(csp.Lit{Var: 0, Val: 1}), nil)
 	s.Add(csp.MustNogood(csp.Lit{Var: 3, Val: 3}))
 	for i, ng := range ngs {
-		if !snap[i].Equal(ng) {
-			t.Fatalf("snapshot aliased store mutations at %d: %v", i, snap[i])
+		if !st.Nogoods[i].Equal(ng) {
+			t.Fatalf("state aliased store mutations at %d: %v", i, st.Nogoods[i])
 		}
 	}
 	if s.Contains(ngs[2]) {
 		t.Fatal("pruning did not remove the superset")
 	}
 
-	s.Restore(snap)
+	s.RestoreState(st)
 	if s.Len() != 3 {
 		t.Fatalf("restored store has %d nogoods, want 3", s.Len())
 	}
@@ -422,7 +425,7 @@ func TestSnapshotRestore(t *testing.T) {
 // between pruning operations. The restored store must reproduce the
 // checkpoint exactly and its rebuilt indexes must keep pruning correctly,
 // with no phantom state left from either the pre-restore churn or the
-// post-snapshot mutations.
+// post-checkpoint mutations.
 func TestRestoreAfterPruningChurn(t *testing.T) {
 	s := New()
 	// Three supersets of {x0=1}, interleaved with unrelated nogoods so the
@@ -437,16 +440,17 @@ func TestRestoreAfterPruningChurn(t *testing.T) {
 	if _, removed := s.AddPruning(csp.MustNogood(lit(0, 1)), nil); removed != 3 {
 		t.Fatalf("setup pruning removed %d, want 3", removed)
 	}
-	want := s.Snapshot() // {4=2}, {5=0,6=1}, {0=1}
+	st := s.State()
+	want := st.Nogoods // {4=2}, {5=0,6=1}, {0=1}
 
-	// Post-snapshot churn: new variables enter the posting lists, another
+	// Post-checkpoint churn: new variables enter the posting lists, another
 	// pruning pass removes a survivor, the empty-adjacent case runs.
 	s.Add(csp.MustNogood(lit(7, 0), lit(5, 0)))
 	if _, removed := s.AddPruning(csp.MustNogood(lit(5, 0)), nil); removed != 2 {
 		t.Fatalf("churn pruning removed %d, want 2", removed)
 	}
 
-	s.Restore(want)
+	s.RestoreState(st)
 	if s.Len() != len(want) {
 		t.Fatalf("restored Len = %d, want %d", s.Len(), len(want))
 	}
@@ -455,10 +459,10 @@ func TestRestoreAfterPruningChurn(t *testing.T) {
 			t.Fatalf("restored position %d holds %v, want %v", i, s.At(i), ng)
 		}
 	}
-	// Post-snapshot state must be gone: no phantom membership, and a scan
+	// Post-checkpoint state must be gone: no phantom membership, and a scan
 	// keyed on the churn-only variable x7 must find nothing.
 	if s.Contains(csp.MustNogood(lit(7, 0), lit(5, 0))) || s.Contains(csp.MustNogood(lit(5, 0))) {
-		t.Fatal("restore kept post-snapshot nogoods")
+		t.Fatal("restore kept post-checkpoint nogoods")
 	}
 	if added, removed := s.AddPruning(csp.MustNogood(lit(7, 0)), nil); !added || removed != 0 {
 		t.Fatalf("AddPruning on churn-only variable: added=%v removed=%d, want true, 0", added, removed)
@@ -470,14 +474,14 @@ func TestRestoreAfterPruningChurn(t *testing.T) {
 		t.Fatalf("AddPruning after restore: added=%v removed=%d, want true, 1", added, removed)
 	}
 
-	// A snapshot with duplicates restores each nogood once.
-	s.Restore([]csp.Nogood{want[0], want[0], want[1]})
+	// A state with duplicates restores each nogood once.
+	s.RestoreState(State{Nogoods: []csp.Nogood{want[0], want[0], want[1]}})
 	if s.Len() != 2 {
-		t.Fatalf("duplicate-bearing snapshot restored %d nogoods, want 2", s.Len())
+		t.Fatalf("duplicate-bearing state restored %d nogoods, want 2", s.Len())
 	}
 
-	// The empty snapshot clears the store and every index.
-	s.Restore(nil)
+	// The empty state clears the store and every index.
+	s.RestoreState(State{})
 	if s.Len() != 0 {
 		t.Fatalf("empty restore left %d nogoods", s.Len())
 	}

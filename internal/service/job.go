@@ -156,19 +156,17 @@ func (s *JobSpec) normalize(cfg *Config) error {
 	default:
 		return specErrf("runtime %q: want sync, async, or tcp", s.Runtime)
 	}
-	switch s.Algorithm {
-	case "":
+	if s.Algorithm == "" {
 		s.Algorithm = "awc"
-	case "awc", "db", "abt":
-	default:
-		return specErrf("algorithm %q: want awc, db, or abt", s.Algorithm)
 	}
-	switch s.Learning {
-	case "":
+	if _, err := discsp.ParseAlgorithm(s.Algorithm); err != nil {
+		return specErrf("%v", err)
+	}
+	if s.Learning == "" {
 		s.Learning = "rslv"
-	case "rslv", "mcs", "none":
-	default:
-		return specErrf("learning %q: want rslv, mcs, or none", s.Learning)
+	}
+	if _, err := discsp.ParseLearning(s.Learning); err != nil {
+		return specErrf("%v", err)
 	}
 	if s.K < 0 {
 		return specErrf("k %d is negative", s.K)
@@ -282,24 +280,10 @@ func (s *JobSpec) options(timeout time.Duration, defaultRetention discsp.Retenti
 		FaultSeed:         s.FaultSeed,
 		Retention:         defaultRetention,
 	}
-	switch s.Algorithm {
-	case "db":
-		opts.Algorithm = discsp.DB
-	case "abt":
-		opts.Algorithm = discsp.ABT
-	default:
-		opts.Algorithm = discsp.AWC
-	}
-	switch s.Learning {
-	case "mcs":
-		opts.Learning = discsp.LearnMCS
-	case "none":
-		opts.Learning = discsp.LearnNone
-	default:
-		opts.Learning = discsp.LearnResolvent
-	}
+	// normalize already vetted the names and the retention syntax.
+	opts.Algorithm, _ = discsp.ParseAlgorithm(s.Algorithm)
+	opts.Learning, _ = discsp.ParseLearning(s.Learning)
 	if s.Retention != "" {
-		// normalize already vetted the syntax.
 		opts.Retention, _ = discsp.ParseRetention(s.Retention)
 	}
 	// Warm-start only where the harvest loop exists: AWC. The cache keys

@@ -132,6 +132,7 @@ func TestSpecErrorsArePermanent(t *testing.T) {
 	}{
 		{"bad runtime", func(s *JobSpec) { s.Runtime = "quantum" }, "runtime"},
 		{"bad algorithm", func(s *JobSpec) { s.Algorithm = "dpll" }, "algorithm"},
+		{"bad learning", func(s *JobSpec) { s.Learning = "cdcl" }, "learning"},
 		{"bad weight", func(s *JobSpec) { s.Weight = 99 }, "weight"},
 		{"bad tenant", func(s *JobSpec) { s.Tenant = "a/b" }, "tenant"},
 		{"negative deadline", func(s *JobSpec) { s.DeadlineMS = -1 }, "deadline_ms"},

@@ -147,7 +147,8 @@ type Options struct {
 	// recv→compute→sends span, and every learned or stored nogood records
 	// its cause set — the schema-3 span events dcsptrace turns into the
 	// critical path, the nogood provenance DAG, and the Perfetto export.
-	// Solve, SolveAsync, SolveTCP and SolveTCPWorker all read it. The
+	// Solve, SolveAsync, SolveTCP and SolveTCPWorker all read it (a
+	// TCPExternal hub rejects it: its workers hold the spans). The
 	// stream may be the run's Telemetry bundle (spans interleave with the
 	// other events) or a separate one (a dedicated -trace-out file); a
 	// separate stream gets its own meta and end events so dcsptrace sees
@@ -190,6 +191,32 @@ const (
 // ParseRetention parses the -retention flag syntax: "all", "lru:<cap>", or
 // "activity:<cap>".
 func ParseRetention(s string) (Retention, error) { return nogood.ParseRetention(s) }
+
+// ParseAlgorithm parses the -algo flag syntax: "awc", "db", or "abt".
+func ParseAlgorithm(s string) (AlgorithmKind, error) {
+	switch s {
+	case "awc":
+		return AWC, nil
+	case "db":
+		return DB, nil
+	case "abt":
+		return ABT, nil
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want awc, db, or abt)", s)
+}
+
+// ParseLearning parses the -learn flag syntax: "rslv", "mcs", or "none".
+func ParseLearning(s string) (LearningKind, error) {
+	switch s {
+	case "rslv":
+		return LearnResolvent, nil
+	case "mcs":
+		return LearnMCS, nil
+	case "none":
+		return LearnNone, nil
+	}
+	return 0, fmt.Errorf("unknown learning %q (want rslv, mcs, or none)", s)
+}
 
 // NogoodCache is the persistent cross-run nogood cache; see Options.WarmCache.
 type NogoodCache = nogood.Cache
@@ -570,8 +597,13 @@ func SolveAsync(p *Problem, opts Options) (Result, error) {
 // the paper's "can work on any type of distributed systems" claim in its
 // strongest locally-testable form. Metrics follow SolveAsync's, plus the
 // wire-level byte/batch counters. Frames travel in the binary codec,
-// coalesced into batches.
+// coalesced into batches. With TCPExternal the agents run in the workers,
+// so Options.Causal is an error: trace them with SolveTCPWorker's
+// Options.Causal (dcspnode -causal).
 func SolveTCP(p *Problem, opts Options) (Result, error) {
+	if opts.TCPExternal && opts.Causal != nil {
+		return Result{}, errors.New("discsp: SolveTCP with TCPExternal records no spans: the agents run in the workers, so trace them with SolveTCPWorker's Options.Causal (dcspnode -causal)")
+	}
 	init, err := opts.initial(p)
 	if err != nil {
 		return Result{}, err
