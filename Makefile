@@ -132,6 +132,11 @@ trace:
 	grep -q 'solved=true' trace-smoke-hub.txt
 	./dcsptrace -critical-path trace-smoke-worker.jsonl | tee trace-smoke-worker-path.txt
 	grep -Eq 'wire [1-9][0-9]*us' trace-smoke-worker-path.txt
+	rm -f trace-smoke-refused.jsonl
+	if ./dcspsolve -tcp -tcp-external -causal -trace-out trace-smoke-refused.jsonl trace-smoke.col; then \
+		echo "dcspsolve -tcp -tcp-external accepted -causal" >&2; exit 1; \
+	fi
+	test ! -e trace-smoke-refused.jsonl
 	./dcspsolve -telemetry trace-smoke-telemetry.jsonl -seed 11 trace-smoke.col
 	./dcsptrace -cycles trace-smoke-telemetry.jsonl | tee trace-smoke-cycles.txt
 	grep -q '^busiest cycle: ' trace-smoke-cycles.txt
@@ -175,18 +180,19 @@ bench-gate:
 			-baseline BENCH_7.json -tolerance 0.5
 
 # The end-to-end benchmark's smoke pass (CI bench-e2e-smoke): the bench/
-# module's own tests, then a short run of each sync workload, of async and
-# of tcp at the default seed. Every sync run checks the cycles, maxcck and
-# checks that bench/testdata/golden.json pins, so this is the direct guard
-# that work on the simulator or the agent step never moves the paper's
-# cost model. The async run verifies every trial's verdict with agents
+# module's own tests, then a short run of each sync workload, of async, of
+# tcp and of dcspd-mixed at the default seed. Every sync run checks the
+# cycles, maxcck and checks that bench/testdata/golden.json pins, so this
+# is the direct guard that work on the simulator or the agent step never
+# moves the paper's cost model. The async run verifies every trial's verdict with agents
 # stepping concurrently, which holds the runtimes to Step's output-slice
 # contract. The tcp run verifies every trial's verdict over the loopback
-# hub, where nodes step once per socket read. A run passes only when its
-# last line, the result object, reports "correct":true.
+# hub, where nodes step once per socket read. The dcspd-mixed run sends
+# jobs through the daemon, the other caller of SolveTCP. A run passes only
+# when its last line, the result object, reports "correct":true.
 bench-e2e-smoke:
 	cd bench && $(GO) test .
-	for w in sync-learn sync-nolearn async tcp; do \
+	for w in sync-learn sync-nolearn async tcp dcspd-mixed; do \
 		bash bench/run.sh -workload $$w -seed 1 -seconds 2 -trace 0 > bench-e2e-$$w.txt; \
 		cat bench-e2e-$$w.txt; \
 		tail -n 1 bench-e2e-$$w.txt | grep -q '"correct":true' || exit 1; \

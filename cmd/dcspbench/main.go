@@ -313,6 +313,7 @@ func printRuntimes(kindName string, n int, scale experiments.Scale, opts discsp.
 	opts.Learning = discsp.LearnResolvent
 	opts.LearningSizeBound = learning.SizeBound
 	opts.Initial = gen.RandomInitial(problem, 2+scale.SeedBase)
+	opts.Retention = scale.Retention
 	results, err := experiments.CompareRuntimes(problem, opts)
 	if err != nil {
 		return err

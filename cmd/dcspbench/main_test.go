@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/discsp/discsp/internal/causal"
@@ -20,6 +21,50 @@ func runCLI(t *testing.T, args ...string) {
 	flag.CommandLine = flag.NewFlagSet("dcspbench", flag.ContinueOnError)
 	if err := run(); err != nil {
 		t.Fatalf("dcspbench %v: %v", args, err)
+	}
+}
+
+// runCLIStdout runs the command on args and returns what it printed to
+// standard output.
+func runCLIStdout(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	oldStdout := os.Stdout
+	os.Stdout = out
+	defer func() { os.Stdout = oldStdout }()
+	runCLI(t, args...)
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// syncRow returns the runtime, solved, cycles and messages columns of a
+// runtime comparison's sync row: the deterministic part of the table.
+func syncRow(t *testing.T, table string) string {
+	t.Helper()
+	for _, line := range strings.Split(table, "\n") {
+		if f := strings.Fields(line); len(f) >= 4 && f[0] == "sync" {
+			return strings.Join(f[:4], " ")
+		}
+	}
+	t.Fatalf("no sync row in:\n%s", table)
+	return ""
+}
+
+// TestCompareRuntimesRetention checks that -retention reaches the runtime
+// comparison's stores: one slot per store changes the sync leg's search.
+func TestCompareRuntimesRetention(t *testing.T) {
+	all := syncRow(t, runCLIStdout(t, "-runtimes", "d3c", "-sweepn", "40", "-retention", "all"))
+	lru := syncRow(t, runCLIStdout(t, "-runtimes", "d3c", "-sweepn", "40", "-retention", "lru:1"))
+	t.Logf("sync row: all %q, lru:1 %q", all, lru)
+	if all == lru {
+		t.Errorf("sync row %q under -retention lru:1 is the same as under all", lru)
 	}
 }
 

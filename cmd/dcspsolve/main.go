@@ -99,6 +99,11 @@ func run() error {
 	if flag.NArg() != 1 {
 		return fmt.Errorf("expected exactly one input file, got %d", flag.NArg())
 	}
+	// Refused before any output file exists, so the refusal leaves none
+	// behind; SolveTCP refuses the same pair for library callers.
+	if *causalOn && *tcpExt {
+		return fmt.Errorf("-causal with -tcp-external records no spans: the agents run in the workers, so trace them with dcspnode -causal")
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

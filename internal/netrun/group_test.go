@@ -216,3 +216,25 @@ func TestRelayGroupsFramesPerRead(t *testing.T) {
 		}
 	}
 }
+
+// TestFreeGroupsClearSlots pins the free list's hand-back: a group comes
+// back empty with every slot cleared, so a spent group keeps no nogood's
+// literals reachable, and a full list drops what it cannot hold.
+func TestFreeGroupsClearSlots(t *testing.T) {
+	free := make(freeGroups[wire.Envelope], 1)
+	g := []wire.Envelope{{Type: wire.TypeCoreNogood, Lits: []wire.Lit{{Var: 1, Val: 2}}}, {Type: wire.TypeCoreOk, Seq: 7}}
+	free.put(g)
+	free.put([]wire.Envelope{{Seq: 9}})
+	back := free.get()
+	if len(back) != 0 || cap(back) != 2 {
+		t.Fatalf("got back len %d cap %d, want the first group, empty", len(back), cap(back))
+	}
+	for i, e := range back[:cap(back)] {
+		if !reflect.DeepEqual(e, wire.Envelope{}) {
+			t.Errorf("slot %d kept %+v", i, e)
+		}
+	}
+	if extra := free.get(); extra != nil {
+		t.Errorf("a one-slot list handed out a second group: %+v", extra)
+	}
+}

@@ -211,9 +211,9 @@ type Result struct {
 
 // Reliable-transport tuning for the node loops. The base is far above a
 // loopback round trip but not above every scheduling delay on a loaded
-// host: traced runs of the benchmark's fault-free tcp workload (d3c n=20,
-// 4 shards, a shared 2-vCPU host) retransmit 0.01–0.12% of messages, every
-// one of them spurious.
+// host: three traced seed-1 runs of the benchmark's fault-free tcp
+// workload (d3c n=20, 4 shards, a shared 2-vCPU host) retransmitted
+// 0.02–1.3% of messages, every one of them spurious.
 const (
 	retransmitBase = 10 * time.Millisecond
 	retransmitCap  = 160 * time.Millisecond
@@ -774,6 +774,7 @@ func (h *hub) route(timeout time.Duration) (Result, error) {
 					return res, nil
 				}
 			}
+			g[0].src.free.put(g) // one read loop's group: its frames share src
 		case <-delayC:
 			now := time.Now()
 			for len(h.delayq) > 0 && !h.delayq[0].at.After(now) {

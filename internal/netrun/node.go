@@ -490,9 +490,11 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	// ticks, so reads go through a channel, one group per socket read (see
 	// readGroups); the loop below steps the agent once per group. The
 	// channel's slack lets the reader keep draining the socket while the
-	// loop steps. The session's end closes the conn and waits for the
-	// reader before reading its corrupt-frame count.
+	// loop steps. The loop puts each group back on free once it is done with
+	// it. The session's end closes the conn and waits for the reader before
+	// reading its corrupt-frame count.
 	inbound := make(chan []wire.Envelope, 128)
+	free := make(freeGroups[wire.Envelope], freeGroupSlots)
 	readerQuit := make(chan struct{})
 	readerDone := make(chan struct{})
 	defer func() {
@@ -504,7 +506,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	go func() {
 		defer close(readerDone)
 		defer close(inbound)
-		readGroups(fr, func(e wire.Envelope) wire.Envelope { return e }, func(g []wire.Envelope) bool {
+		readGroups(fr, free, func(e wire.Envelope) wire.Envelope { return e }, func(g []wire.Envelope) bool {
 			select {
 			case inbound <- g:
 				return true
@@ -560,8 +562,10 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	ticker := time.NewTicker(retransmitTick)
 	defer ticker.Stop()
 	var (
-		batch []sim.Message // what the read group released, per-sender FIFO
-		heard []int         // the links its data frames came from, each once
+		batch     []sim.Message   // what the read group released, per-sender FIFO
+		heard     []int           // the links its data frames came from, each once
+		released  []wire.Envelope // what one Accept released, in order
+		outFrames []wire.Envelope // a step's stamped output
 	)
 	for {
 		select {
@@ -579,6 +583,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 				return endStop, nil
 			}
 			lastRecv = time.Now()
+			grp := g
 			// Walk the group up to its next reset (or its end), step once
 			// on what that stretch released, then apply the reset, so every
 			// step on frames that precede a reset in the stream is written
@@ -602,7 +607,8 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 						}
 						continue
 					}
-					released, _, err := recvLink(e.From).Accept(e)
+					var err error
+					released, _, err = recvLink(e.From).Accept(released[:0], e)
 					if err != nil {
 						return endStop, err
 					}
@@ -616,10 +622,11 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 						}
 						batch = append(batch, msg)
 					}
+					clear(released)
 				}
 				if len(heard) > 0 {
 					now := time.Now()
-					var outFrames []wire.Envelope
+					outFrames = outFrames[:0]
 					if len(batch) > 0 {
 						at.Begin(causal.SpanStep, st.steps)
 						sim.CauseBatch(at, batch)
@@ -631,7 +638,6 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 						// checkpointing: if the crash hits after the
 						// checkpoint, the output survives in the unacked
 						// buffers and the restart retransmits it.
-						outFrames = make([]wire.Envelope, 0, len(out))
 						for _, m := range out {
 							env, err := wire.Encode(m)
 							if err != nil {
@@ -682,6 +688,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 					lastWrite = time.Now()
 					st.pendingReport = 0
 					clear(batch)
+					clear(outFrames)
 					batch, heard = batch[:0], heard[:0]
 				}
 				if i == len(g) {
@@ -733,6 +740,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 				}
 				lastWrite = now
 			}
+			free.put(grp)
 		case <-ticker.C:
 			if len(inbound) > 0 {
 				// select picks at random between ready cases, and a group

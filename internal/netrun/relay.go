@@ -43,6 +43,10 @@ type relayConn struct {
 	order int  // accept order across the run's relays, from 1
 	dirty bool // buffered writes awaiting the route loop's idle flush
 	crcOn bool // CRC32C trailer confirmed on this connection
+
+	// free takes back the groups the route loop has routed, for the read
+	// loop to refill.
+	free freeGroups[inFrame]
 }
 
 // acceptLoop accepts connections on one relay until its listener closes,
@@ -68,6 +72,7 @@ func (h *hub) acceptLoop(r *relay, readWG *sync.WaitGroup) {
 			shard: r.index,
 			fw:    wire.NewFrameWriter(conn),
 			fr:    wire.NewFrameReader(conn),
+			free:  make(freeGroups[inFrame], freeGroupSlots),
 			node:  -1,
 			order: len(h.allConns) + 1,
 		}
@@ -88,9 +93,11 @@ func (h *hub) acceptLoop(r *relay, readWG *sync.WaitGroup) {
 // frame may switch the reader's codec. A checksum-rejected frame is
 // consumed, counted by fr, and skipped; the stream stays aligned and the
 // sender retransmits. On any other read error the frames already decoded
-// are still delivered.
-func readGroups[T any](fr *wire.FrameReader, frame func(wire.Envelope) T, deliver func([]T) bool) {
-	var group []T
+// are still delivered. Each group starts from one its consumer has put back
+// on free, when one is waiting, so a steady stream reads without
+// allocating.
+func readGroups[T any](fr *wire.FrameReader, free freeGroups[T], frame func(wire.Envelope) T, deliver func([]T) bool) {
+	group := free.get()
 	for {
 		e, err := fr.Next()
 		switch {
@@ -110,19 +117,52 @@ func readGroups[T any](fr *wire.FrameReader, frame func(wire.Envelope) T, delive
 		if !deliver(group) {
 			return
 		}
-		group = nil
+		group = free.get()
+	}
+}
+
+// freeGroupSlots bounds a reader's free list: its consumer usually holds
+// one or two of its groups at a time, so a few slots keep every spent one.
+const freeGroupSlots = 4
+
+// freeGroups is one reader's free list of spent groups: the consumer puts a
+// group back once it is done with it, and the reader refills it. A group
+// is never reused before it is put back. Neither side blocks: an empty
+// list makes the reader allocate, a full one drops the group. It is a
+// plain channel rather than a sync.Pool, which the collector empties and
+// the race detector drops items from at random.
+type freeGroups[T any] chan []T
+
+// get returns a spent group, empty, or nil when none is waiting.
+func (f freeGroups[T]) get() []T {
+	select {
+	case g := <-f:
+		return g
+	default:
+		return nil
+	}
+}
+
+// put clears g's slots, so no detached frame stays reachable through them,
+// and returns g to the list. The caller must not touch g afterwards.
+func (f freeGroups[T]) put(g []T) {
+	clear(g)
+	select {
+	case f <- g[:0]:
+	default:
 	}
 }
 
 // readLoop decodes frames from one connection into the hub channel, one
 // group per socket read, so the route loop routes a whole group before its
-// idle flush. All frames — including hello — go through the channel so
-// that connection registration happens on the single-threaded route loop.
-// The one thing done here is the switch to binary: the reader must switch
-// before the next read, and the node sends nothing after its hello until
-// the welcome arrives, so the switch point is unambiguous.
+// idle flush, then puts it back on rc.free. All frames — including hello —
+// go through the channel so that connection registration happens on the
+// single-threaded route loop. The one thing done here is the switch to
+// binary: the reader must switch before the next read, and the node sends
+// nothing after its hello until the welcome arrives, so the switch point
+// is unambiguous.
 func (h *hub) readLoop(rc *relayConn) {
-	readGroups(rc.fr, func(env wire.Envelope) inFrame {
+	readGroups(rc.fr, rc.free, func(env wire.Envelope) inFrame {
 		if env.Type == wire.TypeHello {
 			rc.fr.SetCodec(wire.CodecBinary)
 			if h.checksum && env.Crc {

@@ -85,7 +85,7 @@ func TestSendCapUnderBatching(t *testing.T) {
 	rl := NewRecvLink()
 	var released []int64
 	for _, e := range drain(t, &sock) {
-		got, dup, err := rl.Accept(e)
+		got, dup, err := rl.Accept(nil, e)
 		if err != nil || dup {
 			t.Fatalf("Accept(seq %d): dup=%v err=%v", e.Seq, dup, err)
 		}
@@ -136,7 +136,7 @@ func TestReorderCapUnderBatchedDelivery(t *testing.T) {
 	arrived := drain(t, &sock)
 	var overflow []Envelope
 	for _, e := range arrived {
-		got, dup, err := rl.Accept(e)
+		got, dup, err := rl.Accept(nil, e)
 		if err != nil {
 			if !errors.Is(err, ErrReorderBufferFull) {
 				t.Fatalf("Accept(seq %d): %v", e.Seq, err)
@@ -164,7 +164,7 @@ func TestReorderCapUnderBatchedDelivery(t *testing.T) {
 	var released []int64
 	dups := 0
 	for _, e := range due {
-		got, dup, err := rl.Accept(e)
+		got, dup, err := rl.Accept(nil, e)
 		if err != nil {
 			t.Fatalf("Accept(retransmit seq %d): %v", e.Seq, err)
 		}
@@ -264,7 +264,7 @@ func TestShardBoundaryBackpressureIsolation(t *testing.T) {
 		}
 		rl := NewRecvLink()
 		for _, e := range drain(t, socks[s]) {
-			if _, dup, err := rl.Accept(e); err != nil || dup {
+			if _, dup, err := rl.Accept(nil, e); err != nil || dup {
 				t.Fatalf("shard %d Accept(seq %d): dup=%v err=%v", s, e.Seq, dup, err)
 			}
 		}

@@ -297,12 +297,12 @@ func TestSendLinkMarkDue(t *testing.T) {
 func TestRecvLinkReset(t *testing.T) {
 	l := NewRecvLink()
 	for seq := int64(1); seq <= 3; seq++ {
-		if _, _, err := l.Accept(Envelope{Type: TypeCoreOk, Seq: seq}); err != nil {
+		if _, _, err := l.Accept(nil, Envelope{Type: TypeCoreOk, Seq: seq}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// An out-of-order frame from the old incarnation squats in the buffer.
-	if _, _, err := l.Accept(Envelope{Type: TypeCoreOk, Seq: 9, Value: 99}); err != nil {
+	if _, _, err := l.Accept(nil, Envelope{Type: TypeCoreOk, Seq: 9, Value: 99}); err != nil {
 		t.Fatal(err)
 	}
 	l.Reset()
@@ -315,7 +315,7 @@ func TestRecvLinkReset(t *testing.T) {
 	// The renumbered stream reaches seq 9: it must deliver the new payload,
 	// not the stale squatter.
 	for seq := int64(1); seq <= 9; seq++ {
-		deliver, dup, err := l.Accept(Envelope{Type: TypeCoreOk, Seq: seq, Value: int(seq)})
+		deliver, dup, err := l.Accept(nil, Envelope{Type: TypeCoreOk, Seq: seq, Value: int(seq)})
 		if err != nil || dup {
 			t.Fatalf("seq %d after reset: dup=%v err=%v", seq, dup, err)
 		}

@@ -115,7 +115,9 @@ func (l *SendLink) Ack(cum int64, now time.Time) int {
 // Due returns the frames to retransmit: every unacked frame, when now has
 // reached the retransmission deadline; nil otherwise. Each firing doubles
 // the backoff up to the cap, so a dead receiver costs bounded bandwidth.
-// The caller transmits the returned frames.
+// The returned slice is the link's own window, not a copy: the caller
+// transmits it before the link's next Stamp, Ack or Reset, and does not
+// modify it.
 func (l *SendLink) Due(now time.Time) []Envelope {
 	if len(l.unacked) == 0 || now.Before(l.deadline) {
 		return nil
@@ -123,9 +125,7 @@ func (l *SendLink) Due(now time.Time) []Envelope {
 	l.attempt++
 	l.deadline = now.Add(l.policy.Delay(l.attempt))
 	l.retransmits += int64(len(l.unacked))
-	out := make([]Envelope, len(l.unacked))
-	copy(out, l.unacked)
-	return out
+	return l.unacked
 }
 
 // MarkDue makes every unacked frame immediately due for retransmission
@@ -223,18 +223,19 @@ func (l *RecvLink) SetLimit(n int) {
 }
 
 // Accept feeds one arriving frame through the dedup/reorder buffer. It
-// returns the frames released for in-order processing (possibly none, when
-// e fills no gap) and whether e itself was a duplicate. Frames without a
-// sequence number are passed through untouched. Buffering a new
-// out-of-order frame past the cap fails (the error wraps
-// ErrReorderBufferFull); duplicates and in-order frames never fail.
-func (l *RecvLink) Accept(e Envelope) (deliver []Envelope, dup bool, err error) {
+// appends the frames released for in-order processing to dst (possibly
+// none, when e fills no gap) and returns the extended slice, with whether
+// e itself was a duplicate. Frames without a sequence number are passed
+// through untouched. Buffering a new out-of-order frame past the cap fails
+// (the error wraps ErrReorderBufferFull); duplicates and in-order frames
+// never fail.
+func (l *RecvLink) Accept(dst []Envelope, e Envelope) (deliver []Envelope, dup bool, err error) {
 	if e.Seq == 0 {
-		return []Envelope{e}, false, nil
+		return append(dst, e), false, nil
 	}
 	if e.Seq < l.next {
 		l.dups++
-		return nil, true, nil
+		return dst, true, nil
 	}
 	if e.Seq > l.next {
 		if l.buf == nil {
@@ -242,16 +243,16 @@ func (l *RecvLink) Accept(e Envelope) (deliver []Envelope, dup bool, err error) 
 		}
 		if _, exists := l.buf[e.Seq]; exists {
 			l.dups++
-			return nil, true, nil
+			return dst, true, nil
 		}
 		if len(l.buf) >= l.limit {
-			return nil, false, fmt.Errorf("%w: %d frames buffered from node %d waiting for seq %d (got seq %d)",
+			return dst, false, fmt.Errorf("%w: %d frames buffered from node %d waiting for seq %d (got seq %d)",
 				ErrReorderBufferFull, len(l.buf), e.From, l.next, e.Seq)
 		}
 		l.buf[e.Seq] = e
-		return nil, false, nil
+		return dst, false, nil
 	}
-	deliver = append(deliver, e)
+	deliver = append(dst, e)
 	l.next++
 	for {
 		nxt, ok := l.buf[l.next]

@@ -24,7 +24,7 @@ func mustStamp(t *testing.T, l *SendLink, e Envelope, now time.Time) Envelope {
 
 func mustAccept(t *testing.T, l *RecvLink, e Envelope) ([]Envelope, bool) {
 	t.Helper()
-	got, dup, err := l.Accept(e)
+	got, dup, err := l.Accept(nil, e)
 	if err != nil {
 		t.Fatalf("Accept(%+v): %v", e, err)
 	}
@@ -288,7 +288,7 @@ func TestRecvLinkCap(t *testing.T) {
 	l.SetLimit(2)
 	mustAccept(t, l, Envelope{Seq: 3})
 	mustAccept(t, l, Envelope{Seq: 4})
-	if _, _, err := l.Accept(Envelope{From: 7, Seq: 5}); !errors.Is(err, ErrReorderBufferFull) {
+	if _, _, err := l.Accept(nil, Envelope{From: 7, Seq: 5}); !errors.Is(err, ErrReorderBufferFull) {
 		t.Fatalf("accept over cap: err = %v, want ErrReorderBufferFull", err)
 	}
 	if l.Buffered() != 2 {

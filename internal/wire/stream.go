@@ -55,7 +55,13 @@ const (
 // a corrupt length prefix cannot force a huge allocation.
 const maxFrameBytes = 1 << 24
 
-const streamBufSize = 64 << 10
+// streamBufSize backs every FrameReader and FrameWriter. A TCP connection
+// holds one of each at both ends, so the size is a fixed cost per
+// connection. 4 KiB holds a node's whole write group (a step's output,
+// acks and state report come to a few hundred bytes) and stays within the
+// 16 KiB batch bound netrun writes with; a larger frame still goes
+// through, in more than one read or write.
+const streamBufSize = 4 << 10
 
 // FrameReader reads envelopes from a stream in either codec.
 type FrameReader struct {
