@@ -76,7 +76,9 @@ func WriteProblemJSON(w io.Writer, p *Problem) error {
 	return csp.WriteProblemJSON(w, p)
 }
 
-// ReadProblemJSON parses a problem written by WriteProblemJSON.
+// ReadProblemJSON parses a problem written by WriteProblemJSON. It reads r
+// to EOF before decoding, so pass a file or an in-memory body, not a stream
+// that carries more after the document.
 func ReadProblemJSON(r io.Reader) (*Problem, error) {
 	return csp.ReadProblemJSON(r)
 }

@@ -1,6 +1,7 @@
 package csp
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -54,26 +55,49 @@ func WriteProblemJSON(w io.Writer, p *Problem) error {
 }
 
 // ReadProblemJSON parses a problem written by WriteProblemJSON, validating
-// domains and nogood references.
+// domains and nogood references. It reads r to EOF before decoding, so pass
+// a file or an in-memory body, not a stream that carries more after the
+// document.
 func ReadProblemJSON(r io.Reader) (*Problem, error) {
-	var in problemJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
+	// In-memory readers (bytes.Reader, strings.Reader, bytes.Buffer) say how
+	// much they hold, so a body is copied once instead of regrown.
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("csp: parse problem json: %w", err)
 	}
+	data := buf.Bytes()
+	in, ok := decodeProblemJSON(data)
+	if !ok {
+		// Outside the canonical subset encoding/json decides, so the
+		// accepted inputs and the error texts are its own.
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
+			return nil, fmt.Errorf("csp: parse problem json: %w", err)
+		}
+	}
+	return in.problem()
+}
+
+// problem builds the decoded document into a Problem and validates it. Both
+// decoders feed it, so they share every check and error text.
+func (in *problemJSON) problem() (*Problem, error) {
 	p := NewProblem()
+	var vals []Value
 	for v, dom := range in.Domains {
 		if len(dom) == 0 {
 			return nil, fmt.Errorf("csp: variable %d has empty domain", v)
 		}
-		vals := make([]Value, len(dom))
-		for i, d := range dom {
-			vals[i] = Value(d)
+		vals = vals[:0]
+		for _, d := range dom {
+			vals = append(vals, Value(d))
 		}
 		p.AddVar(vals...)
 	}
+	var cl []Lit
 	for i, lits := range in.Nogoods {
-		cl := make([]Lit, 0, len(lits))
+		cl = cl[:0]
 		for _, l := range lits {
 			if l.Var < 0 || l.Var >= p.NumVars() {
 				return nil, fmt.Errorf("csp: nogood %d references unknown variable %d", i, l.Var)
@@ -92,4 +116,189 @@ func ReadProblemJSON(r io.Reader) (*Problem, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// decodeProblemJSON decodes the canonical document without reflection: what
+// WriteProblemJSON writes, indented or compacted. That is one object with
+// at most the keys "domains" (a list of integer lists) and "nogoods" (a list
+// of lists of objects with at most the keys "var" and "val"), each key at
+// most once and in any order, JSON whitespace between tokens and after the
+// object, and integers of at most 18 digits that fit an int. A missing key
+// leaves its zero value, as in encoding/json. For anything else — a
+// case-variant or escaped key, an unknown key, null, a fraction or an
+// exponent, a duplicate key, a longer integer, bytes after the object — it
+// reports false and a zero value, and the caller hands the document to
+// encoding/json. On the subset it accepts, the two decode the same value
+// (FuzzReadProblemJSON).
+func decodeProblemJSON(data []byte) (problemJSON, bool) {
+	d := jsonDecoder{data: data}
+	var in problemJSON
+	// Every list is carved out of these two, so the decode allocates only
+	// as they grow.
+	var ints []int
+	var lits []litJSON
+	ok := d.object(func(key []byte) bool {
+		switch {
+		case string(key) == "domains" && in.Domains == nil:
+			in.Domains = [][]int{}
+			return d.list(func() bool {
+				start := len(ints)
+				ok := d.list(func() bool {
+					v, ok := d.integer()
+					ints = append(ints, v)
+					return ok
+				})
+				in.Domains = append(in.Domains, ints[start:len(ints):len(ints)])
+				return ok
+			})
+		case string(key) == "nogoods" && in.Nogoods == nil:
+			in.Nogoods = [][]litJSON{}
+			return d.list(func() bool {
+				start := len(lits)
+				ok := d.list(func() bool {
+					var l litJSON
+					var sawVar, sawVal bool
+					ok := d.object(func(key []byte) bool {
+						var ok bool
+						switch {
+						case string(key) == "var" && !sawVar:
+							sawVar = true
+							l.Var, ok = d.integer()
+						case string(key) == "val" && !sawVal:
+							sawVal = true
+							l.Val, ok = d.integer()
+						}
+						return ok
+					})
+					lits = append(lits, l)
+					return ok
+				})
+				in.Nogoods = append(in.Nogoods, lits[start:len(lits):len(lits)])
+				return ok
+			})
+		}
+		return false
+	})
+	d.space()
+	if !ok || d.pos != len(d.data) {
+		return problemJSON{}, false
+	}
+	return in, true
+}
+
+// jsonDecoder walks a byte slice through the canonical problem document's
+// grammar. Each method reports false where the input leaves the grammar.
+type jsonDecoder struct {
+	data []byte
+	pos  int
+}
+
+// take consumes c if it is the next byte after JSON whitespace.
+func (d *jsonDecoder) take(c byte) bool {
+	d.space()
+	if d.pos < len(d.data) && d.data[d.pos] == c {
+		d.pos++
+		return true
+	}
+	return false
+}
+
+// space skips JSON whitespace.
+func (d *jsonDecoder) space() {
+	for d.pos < len(d.data) {
+		switch d.data[d.pos] {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// list decodes "[]" or "[" elem ("," elem)* "]", calling elem for each
+// element.
+func (d *jsonDecoder) list(elem func() bool) bool {
+	if !d.take('[') {
+		return false
+	}
+	if d.take(']') {
+		return true
+	}
+	for elem() {
+		if d.take(']') {
+			return true
+		}
+		if !d.take(',') {
+			return false
+		}
+	}
+	return false
+}
+
+// object decodes "{}" or "{" key ":" value ("," key ":" value)* "}",
+// calling member with each key to decode its value. A key is read up to the
+// next quote without unescaping: no name a member accepts holds a
+// backslash, so an escaped key never matches one.
+func (d *jsonDecoder) object(member func(key []byte) bool) bool {
+	if !d.take('{') {
+		return false
+	}
+	if d.take('}') {
+		return true
+	}
+	for {
+		if !d.take('"') {
+			return false
+		}
+		n := bytes.IndexByte(d.data[d.pos:], '"')
+		if n < 0 {
+			return false
+		}
+		key := d.data[d.pos : d.pos+n]
+		d.pos += n + 1
+		if !d.take(':') || !member(key) {
+			return false
+		}
+		if d.take('}') {
+			return true
+		}
+		if !d.take(',') {
+			return false
+		}
+	}
+}
+
+// integer decodes a JSON integer of at most 18 digits, which always fits an
+// int64, and reports false when it does not fit an int. A leading zero ends
+// the number, as in JSON, so "01" leaves "1" for the caller to reject.
+func (d *jsonDecoder) integer() (int, bool) {
+	d.space()
+	i := d.pos
+	neg := i < len(d.data) && d.data[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var n int64
+	for i < len(d.data) && '0' <= d.data[i] && d.data[i] <= '9' {
+		if i-start == 18 {
+			return 0, false
+		}
+		n = n*10 + int64(d.data[i]-'0')
+		i++
+		if n == 0 {
+			break
+		}
+	}
+	if i == start {
+		return 0, false
+	}
+	if neg {
+		n = -n
+	}
+	if int64(int(n)) != n {
+		return 0, false
+	}
+	d.pos = i
+	return int(n), true
 }

@@ -45,9 +45,11 @@ func (k RetentionKind) String() string {
 //
 // Soundness: every learned nogood is a logical consequence of the initial
 // constraints, so evicting one can never admit an assignment the problem
-// forbids — bounded stores reach the same verdicts as the reference
-// (pinned by the retention oracle tests); forgetting only risks re-deriving
-// knowledge, which the charged-check metric makes visible.
+// forbids, and a cap that never binds is bit-identical to the reference.
+// Completeness is not kept: forgetting costs re-derived knowledge, which
+// the charged-check metric makes visible, and a cap that binds can end an
+// async or tcp run quiescent and unsolved, because AWC does not resend a
+// nogood it has just sent although the recipient may have evicted it.
 type Retention struct {
 	Kind RetentionKind
 	Cap  int

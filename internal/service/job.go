@@ -125,23 +125,24 @@ func specErrf(format string, args ...any) error {
 	return &SpecError{msg: fmt.Sprintf(format, args...)}
 }
 
-// normalize validates the spec against the daemon's limits and fills
-// defaults in place. Every error is a *SpecError — the permanent class.
-func (s *JobSpec) normalize(cfg *Config) error {
+// normalize validates the spec against the daemon's limits, fills defaults
+// in place, and returns the problem it parsed to validate it, so a submit
+// costs one parse. Every error is a *SpecError — the permanent class.
+func (s *JobSpec) normalize(cfg *Config) (*csp.Problem, error) {
 	if s.Tenant == "" {
 		s.Tenant = "default"
 	}
 	if len(s.Tenant) > 64 || strings.ContainsAny(s.Tenant, " \t\n/") {
-		return specErrf("tenant %q: want a short name without spaces or slashes", s.Tenant)
+		return nil, specErrf("tenant %q: want a short name without spaces or slashes", s.Tenant)
 	}
 	if s.Weight == 0 {
 		s.Weight = 1
 	}
 	if s.Weight < 1 || s.Weight > maxTenantWeight {
-		return specErrf("weight %d out of range [1,%d]", s.Weight, maxTenantWeight)
+		return nil, specErrf("weight %d out of range [1,%d]", s.Weight, maxTenantWeight)
 	}
 	if s.DeadlineMS < 0 {
-		return specErrf("deadline_ms %d is negative", s.DeadlineMS)
+		return nil, specErrf("deadline_ms %d is negative", s.DeadlineMS)
 	}
 	if s.DeadlineMS == 0 {
 		s.DeadlineMS = cfg.DefaultDeadline.Milliseconds()
@@ -154,75 +155,75 @@ func (s *JobSpec) normalize(cfg *Config) error {
 		s.Runtime = "sync"
 	case "sync", "async", "tcp":
 	default:
-		return specErrf("runtime %q: want sync, async, or tcp", s.Runtime)
+		return nil, specErrf("runtime %q: want sync, async, or tcp", s.Runtime)
 	}
 	if s.Algorithm == "" {
 		s.Algorithm = "awc"
 	}
 	if _, err := discsp.ParseAlgorithm(s.Algorithm); err != nil {
-		return specErrf("%v", err)
+		return nil, specErrf("%v", err)
 	}
 	if s.Learning == "" {
 		s.Learning = "rslv"
 	}
 	if _, err := discsp.ParseLearning(s.Learning); err != nil {
-		return specErrf("%v", err)
+		return nil, specErrf("%v", err)
 	}
 	if s.K < 0 {
-		return specErrf("k %d is negative", s.K)
+		return nil, specErrf("k %d is negative", s.K)
 	}
 	if s.MaxCycles < 0 {
-		return specErrf("max_cycles %d is negative", s.MaxCycles)
+		return nil, specErrf("max_cycles %d is negative", s.MaxCycles)
 	}
 	if s.MaxCycles == 0 || s.MaxCycles > cfg.MaxCyclesCap {
 		s.MaxCycles = cfg.MaxCyclesCap
 	}
 	if s.Retention != "" {
 		if _, err := discsp.ParseRetention(s.Retention); err != nil {
-			return specErrf("%v", err)
+			return nil, specErrf("%v", err)
 		}
 	}
 	if s.FaultProfile != "" {
 		if s.Runtime == "sync" {
-			return specErrf("fault_profile needs the async or tcp runtime (sync has no network)")
+			return nil, specErrf("fault_profile needs the async or tcp runtime (sync has no network)")
 		}
 		seed := s.FaultSeed
 		if seed == 0 {
 			seed = 1
 		}
 		if _, err := faults.ParseProfile(s.FaultProfile, seed); err != nil {
-			return specErrf("%v", err)
+			return nil, specErrf("%v", err)
 		}
 	}
 	if s.SyntheticDelayMS < 0 {
-		return specErrf("synthetic_delay_ms %d is negative", s.SyntheticDelayMS)
+		return nil, specErrf("synthetic_delay_ms %d is negative", s.SyntheticDelayMS)
 	}
 	if s.SyntheticDelayMS > 0 && !cfg.AllowSyntheticDelay {
-		return specErrf("synthetic_delay_ms requires the daemon's -synthetic-delay flag")
+		return nil, specErrf("synthetic_delay_ms requires the daemon's -synthetic-delay flag")
 	}
 	switch s.Format {
 	case "":
 		s.Format = "json"
 	case "json", "cnf", "col":
 	default:
-		return specErrf("format %q: want json, cnf, or col", s.Format)
+		return nil, specErrf("format %q: want json, cnf, or col", s.Format)
 	}
 	if s.Colors == 0 {
 		s.Colors = 3
 	}
 	if s.Colors < 2 {
-		return specErrf("colors %d: want at least 2", s.Colors)
+		return nil, specErrf("colors %d: want at least 2", s.Colors)
 	}
 	// Parse the problem once here so a malformed instance is a permanent
 	// 400 at the door, never an accepted job that can only fail.
 	p, err := s.problem()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if n := p.NumVars(); n > cfg.MaxVars {
-		return specErrf("problem has %d variables; this daemon caps jobs at %d", n, cfg.MaxVars)
+		return nil, specErrf("problem has %d variables; this daemon caps jobs at %d", n, cfg.MaxVars)
 	}
-	return nil
+	return p, nil
 }
 
 // problem parses the spec's problem payload. Errors are *SpecError.

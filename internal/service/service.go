@@ -304,10 +304,7 @@ func (d *Daemon) replay() error {
 // journal was fsync'd). Errors: *SpecError (permanent, HTTP 400),
 // ErrQueueFull / ErrTenantQueueFull (shed, HTTP 429), errDraining (503).
 func (d *Daemon) Submit(spec JobSpec) (JobStatus, error) {
-	if err := spec.normalize(&d.cfg); err != nil {
-		return JobStatus{}, err
-	}
-	p, err := spec.problem()
+	p, err := spec.normalize(&d.cfg)
 	if err != nil {
 		return JobStatus{}, err
 	}

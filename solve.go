@@ -110,9 +110,13 @@ type Options struct {
 	// Retention bounds each agent's learned-nogood store (AWC and ABT; DB
 	// does not learn). The zero value is the paper's unbounded reference.
 	// Parse CLI syntax ("all", "lru:512", "activity:512") with
-	// ParseRetention. Bounded policies reach the same verdicts as the
-	// reference — learned nogoods are implied by the problem's constraints
-	// — at the possible cost of re-deriving forgotten knowledge.
+	// ParseRetention. Eviction never admits a wrong solution — learned
+	// nogoods are implied by the problem's constraints — and a cap the run
+	// never reaches is bit-identical to the reference. A cap that binds can
+	// cost more than re-deriving forgotten knowledge: it can end a SolveAsync
+	// or SolveTCP run quiescent and unsolved (Solved and Insoluble false, nil
+	// error), because AWC does not resend a nogood it has just sent, though
+	// a recipient may have evicted it since.
 	Retention Retention
 	// TCPShards splits SolveTCP's hub across N relay listeners (node v
 	// connects to shard v mod N); 0 or 1 means a single listener. Sharding
