@@ -45,8 +45,11 @@ build:
 test:
 	$(GO) test -timeout 15m ./...
 
+# bench/ is its own module, which the root ./... skips; it compiles against
+# the runtimes' exported names, so it is vetted too.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet .
 
 fmt-check:
 	@unformatted="$$(gofmt -l .)"; \
@@ -93,12 +96,13 @@ chaos-proc:
 	CHAOS_PROC=1 $(GO) test -race -run TestChaosProc -v -timeout 15m ./cmd/dcspnode/
 
 # The telemetry job's gating half: the on/off bit-identical inertness
-# tests (results, cycle events, cell aggregates across all three runtimes)
-# and the store-hook accounting tests, under the race detector. The CI job
-# additionally smoke-tests the live /metrics endpoint and captures a
-# Table-1 telemetry stream.
+# tests (results, cycle events, cell aggregates across all three runtimes),
+# the async and tcp stream-shape and timeout tests, and the store-hook
+# accounting tests, under the race detector. The CI job additionally
+# smoke-tests the live /metrics endpoint and captures a Table-1 telemetry
+# stream.
 telemetry:
-	$(GO) test -race -timeout 10m -run 'TestTelemetryInert|TestServeMetrics' .
+	$(GO) test -race -timeout 10m -run 'TestTelemetryInert|TestServeMetrics|TestRunRecord' .
 	$(GO) test -race -timeout 5m -run 'TestStore.*Instrument|TestStoreRestore' ./internal/nogood/
 
 # The tracing job (CI trace-smoke): the tracing on/off inertness,

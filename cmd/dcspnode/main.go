@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,7 +75,7 @@ func run() error {
 		return err
 	}
 
-	problem, err := load(flag.Arg(0), *colors)
+	problem, err := csp.LoadFile(flag.Arg(0), *colors)
 	if err != nil {
 		return err
 	}
@@ -179,30 +178,4 @@ func parseVars(s string) ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-func load(path string, colors int) (*discsp.Problem, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".cnf":
-		cnf, err := csp.ParseCNF(f)
-		if err != nil {
-			return nil, err
-		}
-		return cnf.Problem()
-	case ".col":
-		g, err := csp.ParseCOL(f)
-		if err != nil {
-			return nil, err
-		}
-		return g.Problem(colors)
-	case ".json":
-		return csp.ReadProblemJSON(f)
-	default:
-		return nil, fmt.Errorf("cannot infer format of %q (want .cnf, .col, or .json)", path)
-	}
 }

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -124,7 +123,7 @@ func run() error {
 		}()
 	}
 
-	problem, err := load(flag.Arg(0), *colors)
+	problem, err := csp.LoadFile(flag.Arg(0), *colors)
 	if err != nil {
 		return err
 	}
@@ -471,32 +470,6 @@ func runTrials(problem *discsp.Problem, opts discsp.Options, trials, workers int
 	fmt.Printf("%s: trials=%d cycle=%.1f maxcck=%.1f %%=%.0f\n",
 		opts.Algorithm, trials, cycle.Mean(), maxcck.Mean(), solved.Percent())
 	return nil
-}
-
-func load(path string, colors int) (*discsp.Problem, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".cnf":
-		cnf, err := csp.ParseCNF(f)
-		if err != nil {
-			return nil, err
-		}
-		return cnf.Problem()
-	case ".col":
-		g, err := csp.ParseCOL(f)
-		if err != nil {
-			return nil, err
-		}
-		return g.Problem(colors)
-	case ".json":
-		return csp.ReadProblemJSON(f)
-	default:
-		return nil, fmt.Errorf("cannot infer format of %q (want .cnf, .col, or .json)", path)
-	}
 }
 
 func printAssignment(a discsp.SliceAssignment) {

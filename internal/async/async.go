@@ -25,14 +25,16 @@
 // never-healing window holds it forever — the message stays in flight, so
 // quiescence is never declared while traffic is stranded, and the run ends
 // at the deadline with a progress report instead.
+//
+// What a run reports is declared once for both concurrent runtimes, in
+// internal/progress: the Result, the *TimeoutError, and the sample path
+// that feeds the stall watchdog and the telemetry stream.
 package async
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,49 +47,21 @@ import (
 	"github.com/discsp/discsp/internal/telemetry"
 )
 
-// ErrTimeout is returned when the run's deadline expires before a solution,
-// insolubility proof, or quiescence. The concrete error is a *TimeoutError
-// carrying the runtime's last observed state; errors.Is(err, ErrTimeout)
-// matches it.
-var ErrTimeout = errors.New("async: run timed out")
+// ErrTimeout is progress.ErrTimeout: errors.Is(err, ErrTimeout) matches a
+// run that hit its deadline.
+var ErrTimeout = progress.ErrTimeout
 
-// TimeoutError reports a run that hit its deadline, with a snapshot of the
-// runtime's final state so a stuck run is diagnosable from the error alone.
-// It wraps ErrTimeout.
-type TimeoutError struct {
-	// Timeout is the configured deadline that expired.
-	Timeout time.Duration
-	// InFlight is the number of messages routed but not yet processed.
-	InFlight int64
-	// Delivered is the total number of messages processed by agents.
-	Delivered int64
-	// Processed is the per-agent count of messages processed, indexed by
-	// variable.
-	Processed []int64
-	// Report is the stall watchdog's classification of the stuck run —
-	// stalled (no traffic), livelock (traffic without search progress), or
-	// converging (slow, not stuck) — with per-agent progress deltas. Nil
-	// only when the run died before the watchdog gathered two samples.
-	Report *progress.Report
-}
+// TimeoutError reports a run that hit its deadline. Its Delivered counts
+// the messages agents processed; Messages stays 0.
+type TimeoutError = progress.TimeoutError
 
-func (e *TimeoutError) Error() string {
-	s := fmt.Sprintf("async: run timed out after %v: %d messages in flight, %d delivered, per-agent processed %v",
-		e.Timeout, e.InFlight, e.Delivered, e.Processed)
-	if e.Report != nil {
-		s += "; " + e.Report.String()
-	}
-	return s
-}
-
-func (e *TimeoutError) Unwrap() error { return ErrTimeout }
+// pollInterval is the monitor's snapshot period.
+const pollInterval = 100 * time.Microsecond
 
 // Options configures a run.
 type Options struct {
 	// Timeout bounds the wall-clock run time; 0 means 30 seconds.
 	Timeout time.Duration
-	// PollInterval is the monitor's snapshot period; 0 means 100µs.
-	PollInterval time.Duration
 	// MaxJitter, when positive, delays every delivery by a uniform random
 	// duration in [0, MaxJitter) — the failure-injection knob that
 	// exercises message reordering across links. Deliveries on one
@@ -127,31 +101,7 @@ type Options struct {
 }
 
 // Result reports a completed asynchronous run.
-type Result struct {
-	// Solved reports whether the monitor observed a solution snapshot.
-	Solved bool
-	// Insoluble reports that some agent derived the empty nogood.
-	Insoluble bool
-	// Quiescent reports that the run ended because no messages were left
-	// in flight.
-	Quiescent bool
-	// Assignment is the final published global assignment.
-	Assignment csp.SliceAssignment
-	// Messages is the total number of messages delivered.
-	Messages int64
-	// TotalChecks sums every agent's nogood checks.
-	TotalChecks int64
-	// Duration is the wall-clock time from start to stop.
-	Duration time.Duration
-
-	// Transport holds the reliability-layer counters this runtime fills.
-	// Retransmits includes batches redelivered to a restarted agent;
-	// DuplicatesSuppressed counts injected copies discarded before reaching
-	// an agent; Partitioned counts messages held at a cut (delivered at the
-	// heal, or stranded under a never-healing window). Restarts and
-	// PartitionHeals are filled too; the TCP-only counters stay zero.
-	telemetry.Transport
-}
+type Result = progress.Result
 
 // Run executes one agent goroutine per problem variable until the monitor
 // observes a solution, an agent proves insolubility, the system quiesces, or
@@ -159,24 +109,21 @@ type Result struct {
 // result). makeAgent builds the algorithm-specific agent for each variable;
 // it is also how a crash-scheduled agent is rebuilt before its checkpoint is
 // restored.
+//
+// The result's Messages counts the messages agents processed. Of its
+// transport counters, Retransmits includes batches redelivered to a
+// restarted agent; DuplicatesSuppressed counts injected copies discarded
+// before reaching an agent; Partitioned counts messages held at a cut
+// (delivered at the heal, or stranded under a never-healing window).
+// Restarts and PartitionHeals are filled too; the TCP-only counters stay
+// zero.
 func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options) (Result, error) {
 	n := problem.NumVars()
 	if n == 0 {
 		return Result{Solved: true, Assignment: csp.SliceAssignment{}}, nil
 	}
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	poll := opts.PollInterval
-	if poll <= 0 {
-		poll = 100 * time.Microsecond
-	}
-	cadence := opts.WatchdogCadence
-	if cadence <= 0 {
-		cadence = progress.DefaultCadence
-	}
-
+	timeout, cadence := progress.Limits(opts.Timeout, opts.WatchdogCadence)
+	makeAgent, stores := telemetry.InstrumentStores(opts.Telemetry.Registry(), n, makeAgent)
 	rt := &runtime{
 		problem:   problem,
 		makeAgent: makeAgent,
@@ -185,29 +132,8 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		published: make([]atomic.Int64, n),
 		processed: make([]atomic.Int64, n),
 		stop:      make(chan struct{}),
-		tel:       opts.Telemetry,
 		causal:    opts.Causal,
-	}
-	if reg := opts.Telemetry.Registry(); reg != nil {
-		// Resolve per-agent metrics up front (lookups mutate the registry
-		// and must not race the monitor), then wrap makeAgent so restarted
-		// agents re-attach to the same gauges. The gauges are atomics: the
-		// monitor samples live store sizes without touching agent state.
-		rt.storeGauges = make([]*telemetry.Gauge, n)
-		metrics := make([]telemetry.StoreMetrics, n)
-		for v := 0; v < n; v++ {
-			metrics[v] = telemetry.AgentStoreMetrics(reg, v)
-			rt.storeGauges[v] = metrics[v].Size
-		}
-		rt.queueHist = reg.Histogram("discsp_queue_depth", telemetry.QueueDepthBuckets)
-		orig := makeAgent
-		rt.makeAgent = func(v csp.Var) sim.Agent {
-			a := orig(v)
-			if ia, ok := a.(telemetry.Instrumented); ok {
-				ia.Instrument(metrics[v])
-			}
-			return a
-		}
+		queueHist: opts.Telemetry.Registry().Histogram("discsp_queue_depth", telemetry.QueueDepthBuckets),
 	}
 	if opts.Faults != nil {
 		rt.inj = faults.New(*opts.Faults)
@@ -240,6 +166,7 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 
 	start := time.Now()
 	rt.start = start
+	rt.sampler = progress.NewSampler(opts.Telemetry, start, stores, rt.queueDepth)
 	// Publish initial values and route initial messages before any
 	// goroutine starts, so the in-flight counter can never be observed at
 	// zero while startup messages remain unrouted.
@@ -269,7 +196,7 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		}(v)
 	}
 
-	res, terr := rt.monitor(timeout, poll, cadence)
+	res, terr := rt.monitor(timeout, cadence)
 	close(rt.stop)
 	for _, mb := range rt.mailboxes {
 		mb.close()
@@ -297,7 +224,15 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 	for _, a := range rt.agentsFinal() {
 		res.TotalChecks += a.Checks()
 	}
-	rt.emitFinal(res)
+	// Every agent goroutine has stopped, so the agents' non-atomic Checks
+	// counters are safe to read.
+	res.Record(opts.Telemetry, n, func(v int) (checks, processed, store int64) {
+		a := rt.agentsFinal()[v]
+		if ss, ok := a.(telemetry.StoreSizer); ok {
+			store = int64(ss.StoreSize())
+		}
+		return a.Checks(), rt.processed[v].Load(), store
+	})
 	if !res.Solved && !res.Insoluble && !res.Quiescent {
 		if terr == nil {
 			terr = ErrTimeout
@@ -328,10 +263,9 @@ type runtime struct {
 	restarts       atomic.Int64
 	partitioned    atomic.Int64
 
-	tel         *telemetry.Run
-	causal      *causal.Tracer
-	storeGauges []*telemetry.Gauge
-	queueHist   *telemetry.Histogram
+	causal    *causal.Tracer
+	sampler   *progress.Sampler
+	queueHist *telemetry.Histogram
 
 	dispatch  bool
 	jitter    time.Duration
@@ -348,33 +282,6 @@ type runtime struct {
 // may have replaced crashed agents; wg.Wait in Run orders those writes
 // before this read.
 func (rt *runtime) agentsFinal() []sim.Agent { return rt.agents }
-
-// emitFinal records the run's totals: one agent event per variable at the
-// end-of-run quiescence point (every agent goroutine has stopped, so the
-// non-atomic Checks counters are safe to read), the delivery/check/transport
-// counters, and the closing end + snapshot events. Called after wg.Wait and
-// after res's counter fields are filled; no-op without telemetry.
-func (rt *runtime) emitFinal(res Result) {
-	if rt.tel == nil {
-		return
-	}
-	reg := rt.tel.Registry()
-	for v, a := range rt.agentsFinal() {
-		ev := telemetry.Event{
-			Kind:           telemetry.KindAgent,
-			Agent:          v,
-			Checks:         a.Checks(),
-			AgentProcessed: rt.processed[v].Load(),
-		}
-		if ss, ok := a.(telemetry.StoreSizer); ok {
-			ev.StoreSize = int64(ss.StoreSize())
-		}
-		rt.tel.Emit(ev)
-	}
-	reg.Counter("discsp_deliveries_total").Add(res.Messages)
-	reg.Counter("discsp_checks_total").Add(res.TotalChecks)
-	res.Transport.Record(reg)
-}
 
 // linkKey identifies one directed communication link.
 type linkKey struct {
@@ -641,12 +548,10 @@ func (h *delayHeap) Pop() any {
 	return item
 }
 
-// observe feeds the stall watchdog one sample of the runtime's counters and
-// tees the same sample into the telemetry stream, so healthy runs record
-// frontier-hash progress too — not only the *TimeoutError path. The frontier
-// hash covers the published assignment and the insolubility flag — what an
-// outside observer can see of search progress.
-func (rt *runtime) observe(wd *progress.Watchdog, now time.Time) {
+// sample reads the runtime's progress counters for the watchdog. The
+// frontier hash covers the published assignment and the insolubility flag:
+// what an outside observer can see of search progress.
+func (rt *runtime) sample(now time.Time) progress.Sample {
 	words := make([]int64, 0, len(rt.published)+1)
 	for i := range rt.published {
 		words = append(words, rt.published[i].Load())
@@ -658,51 +563,38 @@ func (rt *runtime) observe(wd *progress.Watchdog, now time.Time) {
 	for i := range rt.processed {
 		proc[i] = rt.processed[i].Load()
 	}
-	sample := progress.Sample{
+	return progress.Sample{
 		At:        now,
 		Delivered: rt.delivered.Load(),
 		InFlight:  rt.inFlight.Load(),
 		Processed: proc,
 		Frontier:  progress.Hash64(words...),
 	}
-	wd.Observe(sample) // copies Processed; sharing proc below is safe
-	if rt.tel == nil {
-		return
-	}
-	var storeTotal int64
-	for _, g := range rt.storeGauges {
-		storeTotal += g.Value()
-	}
+}
+
+// queueDepth sums the mailboxes' queued messages into the queue-depth
+// histogram for a telemetry sample.
+func (rt *runtime) queueDepth() int64 {
 	var depth int64
 	for _, mb := range rt.mailboxes {
 		depth += int64(mb.depth())
 	}
 	rt.queueHist.Observe(depth)
-	rt.tel.Emit(telemetry.Event{
-		Kind:       telemetry.KindSample,
-		ElapsedUS:  now.Sub(rt.start).Microseconds(),
-		Delivered:  sample.Delivered,
-		InFlight:   sample.InFlight,
-		Processed:  proc,
-		Frontier:   strconv.FormatUint(sample.Frontier, 16),
-		StoreTotal: storeTotal,
-		QueueDepth: depth,
-	})
+	return depth
 }
 
 // monitor polls the published assignment until a terminal condition. On
 // deadline expiry it returns a *TimeoutError describing the stuck state,
 // including the stall watchdog's progress report.
-func (rt *runtime) monitor(timeout, poll, cadence time.Duration) (Result, error) {
+func (rt *runtime) monitor(timeout, cadence time.Duration) (Result, error) {
 	deadline := time.Now().Add(timeout)
-	wd := progress.NewWatchdog()
 	var lastObserve time.Time
-	ticker := time.NewTicker(poll)
+	ticker := time.NewTicker(pollInterval)
 	defer ticker.Stop()
 	for range ticker.C {
 		if now := time.Now(); now.Sub(lastObserve) >= cadence {
 			lastObserve = now
-			rt.observe(wd, now)
+			rt.sampler.Observe(rt.sample(now))
 		}
 		if rt.runErr.Load() != nil {
 			return Result{}, nil // Run surfaces the recorded error
@@ -718,28 +610,13 @@ func (rt *runtime) monitor(timeout, poll, cadence time.Duration) (Result, error)
 			return Result{Insoluble: true}, nil
 		}
 		if rt.inFlight.Load() == 0 {
-			// Double-check after a grace period: the counter can be zero
-			// only between routing and processing when nothing is queued,
-			// which is stable, but re-reading costs little.
-			if rt.inFlight.Load() == 0 {
-				return Result{Quiescent: true}, nil
-			}
+			return Result{Quiescent: true}, nil
 		}
 		if now := time.Now(); now.After(deadline) {
-			rt.observe(wd, now) // final sample so the report is current
-			te := &TimeoutError{
-				Timeout:   timeout,
-				InFlight:  rt.inFlight.Load(),
-				Processed: make([]int64, len(rt.processed)),
-				Report:    wd.Report(now),
-			}
-			// Agents are still stepping, so Delivered is summed from the
-			// same per-agent reads rather than loaded at another instant.
-			for i := range rt.processed {
-				te.Processed[i] = rt.processed[i].Load()
-				te.Delivered += te.Processed[i]
-			}
-			return Result{}, te
+			// Agents are still stepping; Expire sums Delivered from the
+			// sample's per-agent reads rather than loading it at another
+			// instant.
+			return Result{}, rt.sampler.Expire(rt.sample(now), timeout, 0)
 		}
 	}
 	return Result{}, ErrTimeout

@@ -203,10 +203,7 @@ func (j *Journal) Record(key string, v any) error {
 	if err != nil {
 		return fmt.Errorf("experiments: marshal journal entry %q: %w", key, err)
 	}
-	line, err := json.Marshal(journalEntry{Key: key, Value: raw})
-	if err != nil {
-		return err
-	}
+	line := entryLine(key, raw)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.append(line); err != nil {
@@ -214,6 +211,21 @@ func (j *Journal) Record(key string, v any) error {
 	}
 	j.entries[key] = raw
 	return nil
+}
+
+// entryLine frames raw, json.Marshal's output for a value, as the journal
+// line {"k":key,"v":raw}: the bytes json.Marshal writes for the
+// journalEntry, without its second pass over raw, which is already compact
+// and escaped.
+func entryLine(key string, raw []byte) []byte {
+	// A string always encodes. The +1 leaves room for append's newline.
+	k, _ := json.Marshal(key)
+	line := make([]byte, 0, len(`{"k":,"v":}`)+len(k)+len(raw)+1)
+	line = append(line, `{"k":`...)
+	line = append(line, k...)
+	line = append(line, `,"v":`...)
+	line = append(line, raw...)
+	return append(line, '}')
 }
 
 // Lookup unmarshals the journaled entry for key into out, reporting whether

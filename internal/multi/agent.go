@@ -14,12 +14,11 @@ type Options struct {
 	// SizeBound, when positive, is the kthRslv recording rule lifted to
 	// blocks: received nogoods larger than k are not recorded.
 	SizeBound int
-	// LocalSolutionLimit caps how many local solutions are enumerated when
-	// choosing the one minimizing lower-priority violations; 0 means 16.
-	LocalSolutionLimit int
 }
 
-const defaultLocalSolutionLimit = 16
+// localSolutionLimit caps how many local solutions are enumerated when
+// choosing the one minimizing lower-priority violations.
+const localSolutionLimit = 16
 
 // Agent owns a block of variables of problem and runs block-wise AWC.
 type Agent struct {

@@ -114,7 +114,7 @@ func (c candidateView) Lookup(v csp.Var) (csp.Value, bool) {
 }
 
 // solveLocal searches for a block assignment satisfying the local nogoods
-// plus the active projections of `hard`. Among up to LocalSolutionLimit
+// plus the active projections of `hard`. Among up to localSolutionLimit
 // such assignments it returns the one minimizing violations of `minimize`
 // (evaluated under the view, charging checks); ok is false when none
 // exists.
@@ -128,10 +128,7 @@ func (a *Agent) solveLocal(hard, minimize []csp.Nogood) (map[csp.Var]csp.Value, 
 	}
 	sub := a.buildLocalProblem(induced)
 	solver := central.New(sub)
-	limit := a.opts.LocalSolutionLimit
-	if limit <= 0 {
-		limit = defaultLocalSolutionLimit
-	}
+	limit := localSolutionLimit
 	if len(minimize) == 0 {
 		limit = 1
 	}

@@ -52,7 +52,10 @@
 // The hub detects termination out-of-band, like the other runtimes: nodes
 // attach a state report (current value, insolubility flag, processed
 // count) after every step, letting the hub check for a solution snapshot,
-// an insolubility proof, or quiescence (no messages in flight).
+// an insolubility proof, or quiescence (no messages in flight). The run's
+// record is the one both concurrent runtimes share (internal/progress): the
+// Result, the *TimeoutError, and the sample path that feeds the stall
+// watchdog and the telemetry stream.
 package netrun
 
 import (
@@ -61,7 +64,6 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +77,9 @@ import (
 	"github.com/discsp/discsp/internal/wire"
 )
 
-// ErrTimeout is returned when the deadline expires before a terminal state.
-// The concrete error is a *TimeoutError carrying the hub's last snapshot;
-// errors.Is(err, ErrTimeout) matches it.
-var ErrTimeout = errors.New("netrun: run timed out")
+// ErrTimeout is progress.ErrTimeout: errors.Is(err, ErrTimeout) matches a
+// run that hit its deadline.
+var ErrTimeout = progress.ErrTimeout
 
 // ErrNodeDown is wrapped into the error returned when the hub cannot reach
 // a node that is not scheduled to restart: the run fails fast with a
@@ -86,36 +87,10 @@ var ErrTimeout = errors.New("netrun: run timed out")
 var ErrNodeDown = errors.New("netrun: node unreachable")
 
 // TimeoutError reports a run that hit its deadline, with the hub's last
-// observed state so a stuck run is diagnosable from the error alone. It
-// wraps ErrTimeout.
-type TimeoutError struct {
-	// Timeout is the configured deadline that expired.
-	Timeout time.Duration
-	// InFlight is the number of unique algorithm messages routed but not
-	// yet reported processed by their destination node.
-	InFlight int64
-	// Messages is the number of unique algorithm messages routed.
-	Messages int64
-	// Processed is the per-node count of messages processed, indexed by
-	// variable.
-	Processed []int64
-	// Report is the stall watchdog's classification of the stuck run —
-	// stalled (no traffic), livelock (traffic without search progress), or
-	// converging (slow, not stuck) — with per-agent progress deltas. Nil
-	// only when the run died before the watchdog gathered two samples.
-	Report *progress.Report
-}
-
-func (e *TimeoutError) Error() string {
-	s := fmt.Sprintf("netrun: run timed out after %v: %d messages in flight, %d routed, per-node processed %v",
-		e.Timeout, e.InFlight, e.Messages, e.Processed)
-	if e.Report != nil {
-		s += "; " + e.Report.String()
-	}
-	return s
-}
-
-func (e *TimeoutError) Unwrap() error { return ErrTimeout }
+// snapshot. Its Messages counts the unique algorithm messages routed, and
+// its InFlight those not yet reported processed by their destination node.
+// Its report lists the nodes the hub considers unreachable.
+type TimeoutError = progress.TimeoutError
 
 // Options configures a run.
 type Options struct {
@@ -180,34 +155,7 @@ type Options struct {
 }
 
 // Result reports a completed run.
-type Result struct {
-	// Solved reports whether the hub observed a solution snapshot.
-	Solved bool
-	// Insoluble reports that some agent derived the empty nogood.
-	Insoluble bool
-	// Quiescent reports that no messages were left in flight.
-	Quiescent bool
-	// Assignment is the last (or solving) snapshot.
-	Assignment csp.SliceAssignment
-	// Messages counts unique routed algorithm messages (retransmissions,
-	// duplicates, and control frames excluded).
-	Messages int64
-	// TotalChecks sums constraint checks across the in-process nodes' final
-	// incarnations. Zero when Options.External (the workers own the
-	// agents).
-	TotalChecks int64
-	// Duration is the wall-clock run time.
-	Duration time.Duration
-
-	// Transport holds all eleven reliability and wire counters. Retransmits
-	// and DuplicatesSuppressed sum the nodes' links (spurious resends
-	// included); Reconnects counts every re-hello the hub accepted, from a
-	// checkpoint restart, a worker redial or a cold relaunch; CorruptFrames
-	// sums the hub's readers and the in-process nodes', while external
-	// workers count their own; the byte and batch counters are measured at
-	// the hub's sockets.
-	telemetry.Transport
-}
+type Result = progress.Result
 
 // Reliable-transport tuning for the node loops. The base is far above a
 // loopback round trip but not above every scheduling delay on a loaded
@@ -305,19 +253,22 @@ type nodeCounters struct {
 // hub. makeAgent builds the algorithm-specific agent per variable; it is
 // also how a crashed node's new incarnation is built before its checkpoint
 // is restored.
+//
+// The result's Messages counts the unique algorithm messages routed, and
+// its TotalChecks the in-process nodes' final incarnations (zero when
+// Options.External: the workers own the agents). It fills all eleven
+// transport counters. Retransmits and DuplicatesSuppressed sum the nodes'
+// links (spurious resends included); Reconnects counts every re-hello the
+// hub accepted, from a checkpoint restart, a worker redial or a cold
+// relaunch; CorruptFrames sums the hub's readers and the in-process nodes',
+// while external workers count their own; the byte and batch counters are
+// measured at the hub's sockets.
 func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options) (Result, error) {
 	n := problem.NumVars()
 	if n == 0 {
 		return Result{Solved: true, Assignment: csp.SliceAssignment{}}, nil
 	}
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	cadence := opts.WatchdogCadence
-	if cadence <= 0 {
-		cadence = progress.DefaultCadence
-	}
+	timeout, cadence := progress.Limits(opts.Timeout, opts.WatchdogCadence)
 	nShards := opts.Shards
 	if len(opts.Listen) > 0 {
 		if nShards > 0 && nShards != len(opts.Listen) {
@@ -402,25 +353,12 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		hub.linkPart = make(map[link]int64)
 		ctr.stores = make([]atomic.Int64, n)
 	}
-	if reg := opts.Telemetry.Registry(); reg != nil && !opts.External {
-		// The nodes run in-process, so instrumented agents share the hub's
-		// registry; the gauges are atomics, letting the route loop sample
-		// live store sizes without touching node state. Resolve them up
-		// front and wrap makeAgent so restarted incarnations re-attach.
-		hub.storeGauges = make([]*telemetry.Gauge, n)
-		metrics := make([]telemetry.StoreMetrics, n)
-		for v := 0; v < n; v++ {
-			metrics[v] = telemetry.AgentStoreMetrics(reg, v)
-			hub.storeGauges[v] = metrics[v].Size
-		}
-		orig := makeAgent
-		makeAgent = func(v csp.Var) sim.Agent {
-			a := orig(v)
-			if ia, ok := a.(telemetry.Instrumented); ok {
-				ia.Instrument(metrics[v])
-			}
-			return a
-		}
+	// In-process nodes share the hub's registry, and the route loop samples
+	// their store gauges without touching node state. An external hub holds
+	// no agents.
+	var stores []*telemetry.Gauge
+	if !opts.External {
+		makeAgent, stores = telemetry.InstrumentStores(opts.Telemetry.Registry(), n, makeAgent)
 	}
 
 	// Accept connections for the whole run on every relay: restarted nodes
@@ -485,6 +423,7 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 
 	start := time.Now()
 	hub.start = start
+	hub.sampler = progress.NewSampler(opts.Telemetry, start, stores, func() int64 { return int64(len(hub.delayq)) })
 	res, rerr := hub.route(timeout)
 	res.Duration = time.Since(start)
 
@@ -526,7 +465,13 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		res.BatchedFrames += rc.fw.BatchedFrames + rc.fr.BatchedFrames
 		res.CorruptFrames += rc.fr.CorruptFrames
 	}
-	hub.emitFinal(res, &ctr)
+	res.Record(hub.tel, n, func(v int) (checks, processed, store int64) {
+		if ctr.stores != nil {
+			store = ctr.stores[v].Load()
+		}
+		return ctr.checks[v].Load(), hub.processed[v], store
+	})
+	hub.emitLinks()
 	if res.Solved || res.Insoluble || res.Quiescent {
 		return res, nil
 	}
@@ -646,9 +591,9 @@ type hub struct {
 	start       time.Time // run start; partition windows are offsets from it
 	partitioned int64
 
-	cadence     time.Duration
-	tel         *telemetry.Run
-	storeGauges []*telemetry.Gauge
+	cadence time.Duration
+	sampler *progress.Sampler
+	tel     *telemetry.Run
 	// Per-link counters observed at the hub, keyed by the data link
 	// (sender → receiver); touched only on the single-threaded route loop
 	// and only when telemetry is attached.
@@ -657,27 +602,12 @@ type hub struct {
 	linkPart    map[link]int64
 }
 
-// emitFinal records the run's totals after every node has stopped: one
-// agent event per variable (final-incarnation check totals and store
-// sizes from the node goroutines, processed counts from the hub), one link
-// event per directed link the hub routed, one shard event per relay, and
-// the delivery/check/transport counters. No-op without telemetry.
-func (h *hub) emitFinal(res Result, ctr *nodeCounters) {
+// emitLinks writes the hub's own end-of-run record after every node has
+// stopped: one link event per directed link the hub routed, in (from, to)
+// order, and one shard event per relay. No-op without telemetry.
+func (h *hub) emitLinks() {
 	if h.tel == nil {
 		return
-	}
-	reg := h.tel.Registry()
-	for v := range h.processed {
-		ev := telemetry.Event{
-			Kind:           telemetry.KindAgent,
-			Agent:          v,
-			AgentProcessed: h.processed[v],
-			Checks:         ctr.checks[v].Load(),
-		}
-		if ctr.stores != nil {
-			ev.StoreSize = ctr.stores[v].Load()
-		}
-		h.tel.Emit(ev)
 	}
 	links := make([]link, 0, len(h.seqHigh))
 	for k := range h.seqHigh {
@@ -711,9 +641,6 @@ func (h *hub) emitFinal(res Result, ctr *nodeCounters) {
 		}
 		h.tel.Emit(ev)
 	}
-	reg.Counter("discsp_deliveries_total").Add(res.Messages)
-	reg.Counter("discsp_checks_total").Add(res.TotalChecks)
-	res.Transport.Record(reg)
 }
 
 // route is the hub's single-threaded event loop. All timers are managed
@@ -728,7 +655,6 @@ func (h *hub) route(timeout time.Duration) (Result, error) {
 	delayT := time.NewTimer(time.Hour)
 	delayT.Stop()
 	defer delayT.Stop()
-	wd := progress.NewWatchdog()
 	watch := time.NewTicker(h.cadence)
 	defer watch.Stop()
 	hbPeriod := h.heartbeat
@@ -797,23 +723,15 @@ func (h *hub) route(timeout time.Duration) (Result, error) {
 				return Result{Assignment: h.snapshot(), Messages: h.messages}, err
 			}
 		case now := <-watch.C:
-			h.observe(wd, now)
+			h.sampler.Observe(h.sample(now))
 			if err := h.expireGrace(now); err != nil {
 				return Result{Assignment: h.snapshot(), Messages: h.messages}, err
 			}
 		case <-deadline.C:
 			now := time.Now()
-			h.observe(wd, now) // final sample so the report is current
-			rep := wd.Report(now)
-			if rep != nil {
-				rep.Down = h.downList(now)
-			}
-			te := &TimeoutError{
-				Timeout:   timeout,
-				InFlight:  h.inFlight,
-				Messages:  h.messages,
-				Processed: append([]int64(nil), h.processed...),
-				Report:    rep,
+			te := h.sampler.Expire(h.sample(now), timeout, h.messages)
+			if te.Report != nil {
+				te.Report.Down = h.downList(now)
 			}
 			return Result{Assignment: h.snapshot(), Messages: h.messages}, te
 		}
@@ -1160,11 +1078,11 @@ func (h *hub) schedule(e wire.Envelope, at time.Time) {
 	heap.Push(&h.delayq, delayedFrame{at: at, seq: h.delaySeq, env: e})
 }
 
-// observe feeds the stall watchdog one sample of the hub's counters and
-// tees the same sample into the telemetry stream, so healthy runs record
-// frontier-hash progress too. The frontier hash covers the nodes' published
-// values — what the hub can see of search progress.
-func (h *hub) observe(wd *progress.Watchdog, now time.Time) {
+// sample reads the hub's progress counters for the watchdog. The frontier
+// hash covers the nodes' published values: what the hub can see of search
+// progress. Processed is the hub's live slice, which the sampler does not
+// keep.
+func (h *hub) sample(now time.Time) progress.Sample {
 	words := make([]int64, len(h.values))
 	var delivered int64
 	for i, v := range h.values {
@@ -1173,31 +1091,13 @@ func (h *hub) observe(wd *progress.Watchdog, now time.Time) {
 	for _, p := range h.processed {
 		delivered += p
 	}
-	frontier := progress.Hash64(words...)
-	wd.Observe(progress.Sample{
+	return progress.Sample{
 		At:        now,
 		Delivered: delivered,
 		InFlight:  h.inFlight,
-		Processed: h.processed, // Observe copies
-		Frontier:  frontier,
-	})
-	if h.tel == nil {
-		return
+		Processed: h.processed,
+		Frontier:  progress.Hash64(words...),
 	}
-	var storeTotal int64
-	for _, g := range h.storeGauges {
-		storeTotal += g.Value()
-	}
-	h.tel.Emit(telemetry.Event{
-		Kind:       telemetry.KindSample,
-		ElapsedUS:  now.Sub(h.start).Microseconds(),
-		Delivered:  delivered,
-		InFlight:   h.inFlight,
-		Processed:  append([]int64(nil), h.processed...),
-		Frontier:   strconv.FormatUint(frontier, 16),
-		StoreTotal: storeTotal,
-		QueueDepth: int64(len(h.delayq)),
-	})
 }
 
 // partitionHold applies the partition schedule to one node-to-node frame.

@@ -1,8 +1,12 @@
-// Package progress provides the stall watchdog shared by the asynchronous
-// runtime (internal/async) and the TCP runtime (internal/netrun): a
-// monitor that samples delivery counters, per-agent processed counts, and a
-// "frontier" hash of the search state, so that when a run hits its deadline
-// the *TimeoutError can say *how* it was stuck instead of only that it was.
+// Package progress holds what the two concurrent runtimes, the
+// asynchronous runtime (internal/async) and the TCP runtime
+// (internal/netrun), report about a run, declared once for both: the
+// Result, the *TimeoutError with ErrTimeout, and the Sampler, their one
+// sample path into the stall watchdog and the telemetry stream. The
+// watchdog samples delivery counters, per-agent processed counts, and a
+// "frontier" hash of the search state, so that when a run hits its
+// deadline the *TimeoutError can say *how* it was stuck instead of only
+// that it was.
 //
 // The watchdog distinguishes three terminal shapes:
 //

@@ -9,13 +9,13 @@ package service
 
 import "sync"
 
-// defaultEventLimit bounds one job's captured event bytes.
-const defaultEventLimit = 256 << 10
+// eventLimit bounds one job's captured event bytes.
+const eventLimit = 256 << 10
 
-// defaultTraceLimit bounds one job's captured causal-trace bytes. Span
-// streams record every activation and message emission, so they run far
-// larger than progress events.
-const defaultTraceLimit = 4 << 20
+// traceLimit bounds one job's captured causal-trace bytes (jobs submitted
+// with "causal": true). Span streams record every activation and message
+// emission, so they run far larger than progress events.
+const traceLimit = 4 << 20
 
 // eventLog is an append-only byte log with follow semantics. It implements
 // io.Writer so a telemetry Recorder can write JSONL into it directly.
@@ -29,9 +29,6 @@ type eventLog struct {
 }
 
 func newEventLog(limit int) *eventLog {
-	if limit <= 0 {
-		limit = defaultEventLimit
-	}
 	return &eventLog{limit: limit, change: make(chan struct{})}
 }
 

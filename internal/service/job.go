@@ -355,7 +355,7 @@ type job struct {
 	fromCache bool // completed result restored from the journal
 }
 
-func newJob(id string, seq int64, spec JobSpec, p *csp.Problem, now time.Time, eventLimit, traceLimit int) *job {
+func newJob(id string, seq int64, spec JobSpec, p *csp.Problem, now time.Time) *job {
 	j := &job{
 		id:        id,
 		seq:       seq,

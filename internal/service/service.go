@@ -91,12 +91,6 @@ type Config struct {
 	JournalPath string
 	// Registry receives the daemon's metrics; nil mints a fresh one.
 	Registry *discsp.MetricsRegistry
-	// EventBufLimit bounds one job's captured progress events; default
-	// 256 KiB.
-	EventBufLimit int
-	// TraceBufLimit bounds one job's captured causal-trace bytes (jobs
-	// submitted with "causal": true); default 4 MiB.
-	TraceBufLimit int
 	// AllowSyntheticDelay accepts specs with synthetic_delay_ms — the
 	// load/crash-testing knob. Off by default.
 	AllowSyntheticDelay bool
@@ -144,12 +138,6 @@ func (c *Config) fill() {
 	}
 	if c.WarmCachePath != "" {
 		c.WarmStart = true
-	}
-	if c.EventBufLimit <= 0 {
-		c.EventBufLimit = defaultEventLimit
-	}
-	if c.TraceBufLimit <= 0 {
-		c.TraceBufLimit = defaultTraceLimit
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -267,7 +255,7 @@ func (d *Daemon) replay() error {
 			// rather than refusing to start.
 			p = nil
 		}
-		j := newJob(e.accept.ID, e.accept.Seq, spec, p, now, d.cfg.EventBufLimit, d.cfg.TraceBufLimit)
+		j := newJob(e.accept.ID, e.accept.Seq, spec, p, now)
 		j.replayed = true
 		if e.accept.Seq > d.seq {
 			d.seq = e.accept.Seq
@@ -315,7 +303,7 @@ func (d *Daemon) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	d.seq++
 	id := fmt.Sprintf("j%08d", d.seq)
-	j := newJob(id, d.seq, spec, p, time.Now(), d.cfg.EventBufLimit, d.cfg.TraceBufLimit)
+	j := newJob(id, d.seq, spec, p, time.Now())
 	d.mu.Unlock()
 
 	// Enqueue before journaling would admit a job that a crash forgets;

@@ -229,7 +229,7 @@ func TestStrideSchedulerWeightedFairness(t *testing.T) {
 	mk := func(tenant string, weight, n int) {
 		for i := 0; i < n; i++ {
 			spec := JobSpec{Tenant: tenant, Weight: weight, DeadlineMS: 60000}
-			j := newJob(tenant+string(rune('0'+i)), int64(i), spec, nil, time.Now(), 0, 0)
+			j := newJob(tenant+string(rune('0'+i)), int64(i), spec, nil, time.Now())
 			if err := s.enqueue(j); err != nil {
 				t.Fatalf("enqueue: %v", err)
 			}

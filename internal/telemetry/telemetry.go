@@ -166,18 +166,37 @@ type Instrumented interface {
 // StoreSizer is implemented by agents exposing their nogood-store size.
 type StoreSizer interface{ StoreSize() int }
 
-// AgentStoreMetrics resolves agent's store instruments in reg, each
-// labelled agent="<index>": the discsp_store_nogoods gauge, the
+// InstrumentStores resolves the store instruments of agents 0..n-1 in reg,
+// each labelled agent="<index>": the discsp_store_nogoods gauge, the
 // discsp_learned_nogood_len histogram, and the discsp_store_evictions
-// counter. Every runtime registers its agents' stores through it. A nil
-// reg yields all-nil (no-op) instruments.
-func AgentStoreMetrics(reg *Registry, agent int) StoreMetrics {
-	label := strconv.Itoa(agent)
-	return StoreMetrics{
-		Size:      reg.Gauge(Name("discsp_store_nogoods", "agent", label)),
-		Lengths:   reg.Histogram(Name("discsp_learned_nogood_len", "agent", label), NogoodLenBuckets),
-		Evictions: reg.Counter(Name("discsp_store_evictions", "agent", label)),
+// counter. It returns makeAgent wrapped to attach them to every
+// Instrumented agent it builds, so a restarted incarnation re-attaches to
+// its predecessor's instruments, together with the size gauges a sampler
+// sums. Every runtime builds its agents through it. The lookups happen
+// here, before the run, so no sampling path touches the registry's maps.
+// With a nil reg, makeAgent comes back unchanged and the gauges are nil.
+func InstrumentStores[V ~int, A any](reg *Registry, n int, makeAgent func(V) A) (func(V) A, []*Gauge) {
+	if reg == nil {
+		return makeAgent, nil
 	}
+	metrics := make([]StoreMetrics, n)
+	gauges := make([]*Gauge, n)
+	for v := range metrics {
+		label := strconv.Itoa(v)
+		metrics[v] = StoreMetrics{
+			Size:      reg.Gauge(Name("discsp_store_nogoods", "agent", label)),
+			Lengths:   reg.Histogram(Name("discsp_learned_nogood_len", "agent", label), NogoodLenBuckets),
+			Evictions: reg.Counter(Name("discsp_store_evictions", "agent", label)),
+		}
+		gauges[v] = metrics[v].Size
+	}
+	return func(v V) A {
+		a := makeAgent(v)
+		if ia, ok := any(a).(Instrumented); ok {
+			ia.Instrument(metrics[v])
+		}
+		return a
+	}, gauges
 }
 
 // Fixed bucket layouts. Every histogram in the repo uses one of these, so

@@ -27,9 +27,6 @@ type PartitionedOptions struct {
 	// LearningSizeBound, when positive, applies the kthRslv recording rule
 	// to the block-level nogoods.
 	LearningSizeBound int
-	// LocalSolutionLimit caps the per-repair local solution enumeration
-	// (0 means 16).
-	LocalSolutionLimit int
 	// Initial supplies per-variable initial values; nil starts every
 	// variable at its first domain value, and InitialSeed != 0 draws them
 	// at random.
@@ -49,10 +46,8 @@ func SolvePartitioned(p *Problem, partition Partition, opts PartitionedOptions) 
 	if err != nil {
 		return Result{}, err
 	}
-	res, _, err := multi.Run(p, partition, init, multi.Options{
-		SizeBound:          opts.LearningSizeBound,
-		LocalSolutionLimit: opts.LocalSolutionLimit,
-	}, sim.Options{MaxCycles: opts.MaxCycles})
+	res, _, err := multi.Run(p, partition, init, multi.Options{SizeBound: opts.LearningSizeBound},
+		sim.Options{MaxCycles: opts.MaxCycles})
 	if err != nil {
 		return Result{}, err
 	}

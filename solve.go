@@ -15,6 +15,7 @@ import (
 	"github.com/discsp/discsp/internal/gen"
 	"github.com/discsp/discsp/internal/netrun"
 	"github.com/discsp/discsp/internal/nogood"
+	"github.com/discsp/discsp/internal/progress"
 	"github.com/discsp/discsp/internal/sim"
 	"github.com/discsp/discsp/internal/telemetry"
 )
@@ -401,16 +402,28 @@ func (o Options) startRun(p *Problem, runtime string) *causal.Tracer {
 	return causal.New(o.Causal, p)
 }
 
-// causalEnd closes a separate causal stream with the run verdict (a
-// worker, which has none, passes a zero Result) — the end event doubles as
-// the stream-completeness marker dcsptrace requires. When the causal
-// stream is the Telemetry stream, the telemetry finalizers already close
-// it.
-func (o Options) causalEnd(out Result) {
-	if o.Causal == nil || o.Causal == o.Telemetry {
-		return
+// finish closes a run's observation, for every runtime: on Telemetry the
+// end verdict, carrying the transport counters when any is nonzero, and a
+// metrics snapshot; on Causal, when that is a separate stream, the end
+// verdict alone (a worker, which has none, passes a zero Result). The end
+// event doubles as the stream-completeness marker dcsptrace requires.
+func (o Options) finish(out Result) {
+	if o.Telemetry != nil {
+		ev := endEvent(out)
+		if t := out.TransportCounters; !t.IsZero() {
+			ev.Transport = &t
+		}
+		o.Telemetry.Emit(ev)
+		o.Telemetry.EmitSnapshot()
 	}
-	o.Causal.Emit(telemetry.Event{
+	if o.Causal != nil && o.Causal != o.Telemetry {
+		o.Causal.Emit(endEvent(out))
+	}
+}
+
+// endEvent is the verdict event that closes a run's streams.
+func endEvent(out Result) telemetry.Event {
+	return telemetry.Event{
 		Kind:        telemetry.KindEnd,
 		Solved:      out.Solved,
 		Insoluble:   out.Insoluble,
@@ -419,7 +432,24 @@ func (o Options) causalEnd(out Result) {
 		TotalChecks: out.TotalChecks,
 		Messages:    out.Messages,
 		DurationUS:  out.Duration.Microseconds(),
-	})
+	}
+}
+
+// finishConcurrent converts the result of the async or tcp runtime, which
+// has already written its per-agent record, and closes the run's
+// observation.
+func (o Options) finishConcurrent(res progress.Result) Result {
+	out := Result{
+		Solved:            res.Solved,
+		Insoluble:         res.Insoluble,
+		Assignment:        res.Assignment,
+		TotalChecks:       res.TotalChecks,
+		Messages:          res.Messages,
+		Duration:          res.Duration,
+		TransportCounters: res.Transport,
+	}
+	o.finish(out)
+	return out
 }
 
 // Solve runs the selected algorithm on the deterministic synchronous
@@ -430,11 +460,11 @@ func Solve(p *Problem, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	tracer := opts.startRun(p, "sync")
-	agents := buildAgents(p.NumVars(), opts.makeAgent(p, init))
-	trace := opts.Trace
 	tel := opts.Telemetry
+	makeAgent, _ := telemetry.InstrumentStores(tel.Registry(), p.NumVars(), opts.makeAgent(p, init))
+	agents := buildAgents(p.NumVars(), makeAgent)
+	trace := opts.Trace
 	if tel != nil {
-		instrumentAgents(tel.Registry(), agents)
 		trace = teeCycleEvents(tel, agents, opts.Trace)
 	}
 	res, err := sim.Run(p, agents, sim.Options{MaxCycles: opts.MaxCycles, Trace: trace, Causal: tracer})
@@ -452,27 +482,13 @@ func Solve(p *Problem, opts Options) (Result, error) {
 		MessagesByType: res.MessagesByType,
 	}
 	if tel != nil {
-		emitSyncFinal(tel, agents, out)
+		emitSyncTotals(tel, agents, out)
 	}
-	opts.causalEnd(out)
+	opts.finish(out)
 	if opts.Algorithm == AWC || opts.Algorithm == 0 {
 		harvestWarmCache(opts.WarmCache, p, agents)
 	}
 	return out, nil
-}
-
-// instrumentAgents attaches per-agent store gauges and learned-nogood
-// length histograms. Called once before the run starts, so the sampling
-// paths never touch the registry's maps.
-func instrumentAgents(reg *MetricsRegistry, agents []sim.Agent) {
-	if reg == nil {
-		return
-	}
-	for i, a := range agents {
-		if ia, ok := a.(telemetry.Instrumented); ok {
-			ia.Instrument(telemetry.AgentStoreMetrics(reg, i))
-		}
-	}
 }
 
 // teeCycleEvents chains the caller's trace hook (if any) with a telemetry
@@ -510,9 +526,9 @@ func teeCycleEvents(tel *Telemetry, agents []sim.Agent, inner func(CycleEvent)) 
 	}
 }
 
-// emitSyncFinal closes a synchronous run's telemetry: per-agent totals, run
-// counters, the end verdict, and a metrics snapshot.
-func emitSyncFinal(tel *Telemetry, agents []sim.Agent, out Result) {
+// emitSyncTotals writes a synchronous run's per-agent totals and adds its
+// cycle, check and message counters to the registry.
+func emitSyncTotals(tel *Telemetry, agents []sim.Agent, out Result) {
 	for i, a := range agents {
 		ev := telemetry.Event{Kind: telemetry.KindAgent, Agent: i, Checks: a.Checks()}
 		if s, ok := a.(telemetry.StoreSizer); ok {
@@ -524,39 +540,6 @@ func emitSyncFinal(tel *Telemetry, agents []sim.Agent, out Result) {
 	reg.Counter("discsp_cycles_total").Add(int64(out.Cycles))
 	reg.Counter("discsp_checks_total").Add(out.TotalChecks)
 	reg.Counter("discsp_messages_total").Add(out.Messages)
-	tel.Emit(telemetry.Event{
-		Kind:        telemetry.KindEnd,
-		Solved:      out.Solved,
-		Insoluble:   out.Insoluble,
-		Cycles:      out.Cycles,
-		MaxCCK:      out.MaxCCK,
-		TotalChecks: out.TotalChecks,
-		Messages:    out.Messages,
-	})
-	tel.EmitSnapshot()
-}
-
-// emitNetFinal closes an async or tcp run's telemetry stream with the end
-// verdict (including transport counters when any are nonzero) and a metrics
-// snapshot. The runtimes have already emitted their per-agent and per-link
-// events and folded their counters into the registry.
-func emitNetFinal(tel *Telemetry, out Result) {
-	if tel == nil {
-		return
-	}
-	ev := telemetry.Event{
-		Kind:        telemetry.KindEnd,
-		Solved:      out.Solved,
-		Insoluble:   out.Insoluble,
-		TotalChecks: out.TotalChecks,
-		Messages:    out.Messages,
-		DurationUS:  out.Duration.Microseconds(),
-	}
-	if t := out.TransportCounters; !t.IsZero() {
-		ev.Transport = &t
-	}
-	tel.Emit(ev)
-	tel.EmitSnapshot()
 }
 
 // SolveAsync runs the selected algorithm on the goroutine-per-agent
@@ -581,18 +564,7 @@ func SolveAsync(p *Problem, opts Options) (Result, error) {
 		Telemetry:       opts.Telemetry,
 		Causal:          tracer,
 	})
-	out := Result{
-		Solved:            res.Solved,
-		Insoluble:         res.Insoluble,
-		Assignment:        res.Assignment,
-		TotalChecks:       res.TotalChecks,
-		Messages:          res.Messages,
-		Duration:          res.Duration,
-		TransportCounters: res.Transport,
-	}
-	emitNetFinal(opts.Telemetry, out)
-	opts.causalEnd(out)
-	return out, err
+	return opts.finishConcurrent(res), err
 }
 
 // SolveTCP runs the selected algorithm over an actual TCP network: a hub of
@@ -630,18 +602,7 @@ func SolveTCP(p *Problem, opts Options) (Result, error) {
 		External:        opts.TCPExternal,
 		OnListen:        opts.TCPOnListen,
 	})
-	out := Result{
-		Solved:            res.Solved,
-		Insoluble:         res.Insoluble,
-		Assignment:        res.Assignment,
-		TotalChecks:       res.TotalChecks,
-		Messages:          res.Messages,
-		Duration:          res.Duration,
-		TransportCounters: res.Transport,
-	}
-	emitNetFinal(opts.Telemetry, out)
-	opts.causalEnd(out)
-	return out, err
+	return opts.finishConcurrent(res), err
 }
 
 // TCPWorkerOptions configures SolveTCPWorker.
@@ -703,7 +664,7 @@ func SolveTCPWorker(p *Problem, opts Options, w TCPWorkerOptions) (TCPWorkerStat
 		ConnectTimeout: w.ConnectTimeout,
 		Causal:         tracer,
 	})
-	opts.causalEnd(Result{})
+	opts.finish(Result{})
 	return st, err
 }
 
@@ -711,7 +672,7 @@ func SolveTCPWorker(p *Problem, opts Options, w TCPWorkerOptions) (TCPWorkerStat
 // from SolveAsync or SolveTCP. Solve has no wall-clock deadline; its cutoff
 // is MaxCycles, reported as an unsolved Result, not an error.
 func IsTimeout(err error) bool {
-	return errors.Is(err, async.ErrTimeout) || errors.Is(err, netrun.ErrTimeout)
+	return errors.Is(err, progress.ErrTimeout)
 }
 
 // TimeoutReport extracts the stall watchdog's diagnosis from a timeout
@@ -720,13 +681,9 @@ func IsTimeout(err error) bool {
 // ok is false when err carries no report (not a timeout, or the run died
 // before the watchdog sampled).
 func TimeoutReport(err error) (report string, ok bool) {
-	var aerr *async.TimeoutError
-	if errors.As(err, &aerr) && aerr.Report != nil {
-		return aerr.Report.String(), true
-	}
-	var nerr *netrun.TimeoutError
-	if errors.As(err, &nerr) && nerr.Report != nil {
-		return nerr.Report.String(), true
+	var te *progress.TimeoutError
+	if errors.As(err, &te) && te.Report != nil {
+		return te.Report.String(), true
 	}
 	return "", false
 }
