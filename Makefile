@@ -1,5 +1,6 @@
-# Targets mirror the CI pipeline (.github/workflows/ci.yml) so local runs
-# match it exactly: `make ci` is what a green check means.
+# The CI pipeline (.github/workflows/ci.yml) runs these targets, so local
+# runs match it exactly: `make ci` is what a green check means. The CI chaos
+# job alone spells its command out, with a shorter timeout than `make chaos`.
 
 GO ?= go
 

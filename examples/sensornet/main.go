@@ -11,8 +11,8 @@
 // The program solves the network with AWC under three learning strategies
 // and prints the paper's cost metrics side by side — Table 1's comparison
 // on a realistic topology — then re-runs the winner on the asynchronous
-// goroutine runtime with randomized message delays to show the algorithm
-// tolerates reordering.
+// goroutine runtime with seeded per-message delivery delays to show the
+// algorithm tolerates reordering.
 //
 // Run with:
 //
@@ -22,7 +22,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"github.com/discsp/discsp"
 )
@@ -41,7 +40,7 @@ func main() {
 	// sensors overlap in range). Tighter 8-neighborhood interference makes
 	// the 4-band problem zero-slack — every 2x2 block needs all four bands
 	// — which AWC still solves synchronously but thrashes on under heavy
-	// asynchronous message jitter; see the async package's failure
+	// asynchronous message delay; see the async package's failure
 	// injection tests for that stress.
 	for y := 0; y < gridH; y++ {
 		for x := 0; x < gridW; x++ {
@@ -97,17 +96,18 @@ func main() {
 		fmt.Printf("%-12s %8d %10d %6v\n", cfg.label, res.Cycles, res.MaxCCK, res.Solved)
 	}
 
-	// The same agents, fully asynchronous, with message delivery delayed by
-	// up to 200µs at random — band allocation still converges.
+	// The same agents, fully asynchronous, with each message's delivery
+	// delayed by up to 200µs on the fault schedule — band allocation still
+	// converges.
 	res, err := discsp.SolveAsync(p, discsp.Options{
-		Learning:    discsp.LearnResolvent,
-		InitialSeed: 42,
-		MaxJitter:   200 * time.Microsecond,
+		Learning:     discsp.LearnResolvent,
+		InitialSeed:  42,
+		FaultProfile: "delay=200us",
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nasync+jitter: solved=%v in %v (%d messages)\n", res.Solved, res.Duration, res.Messages)
+	fmt.Printf("\nasync+delay: solved=%v in %v (%d messages)\n", res.Solved, res.Duration, res.Messages)
 	if res.Solved {
 		fmt.Println("\nband map:")
 		for y := 0; y < gridH; y++ {

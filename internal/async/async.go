@@ -1,6 +1,6 @@
 // Package async runs the distributed algorithms on a genuinely asynchronous
 // system: one goroutine per agent, channel-free mailboxes with no global
-// clock, optional randomized delivery delay. Section 5 of the paper notes
+// clock. Section 5 of the paper notes
 // the algorithms "are designed for a fully asynchronous distributed system,
 // and thereby can work on any type of distributed systems"; this runtime
 // demonstrates exactly that with the same Agent implementations the
@@ -14,12 +14,14 @@
 // again).
 //
 // The runtime additionally accepts a deterministic fault schedule
-// (internal/faults): per-link message drop, duplication, and bounded delay,
-// plus per-agent crash points with checkpoint-based restart. Faults are
+// (internal/faults): per-link message drop, corruption, duplication, and
+// bounded delay, plus per-agent crash points with checkpoint-based restart.
+// The schedule is the runtime's only source of delivery delay. Faults are
 // applied below the reliable-transport abstraction the algorithms assume —
-// a dropped message costs retransmission backoff (delay), a duplicate is
-// suppressed before delivery, and deliveries on one directed link stay
-// FIFO — so the algorithms observe a slower, but still correct, network.
+// a dropped or corrupted message costs retransmission backoff (delay; with
+// no wire to checksum, a corruption is a drop), a duplicate is suppressed
+// before delivery, and deliveries on one directed link stay FIFO — so the
+// algorithms observe a slower, but still correct, network.
 // Partition windows are modeled the same way: a message crossing the cut is
 // held (deterministic added delay) until the window heals, and a
 // never-healing window holds it forever — the message stays in flight, so
@@ -34,7 +36,6 @@ package async
 import (
 	"container/heap"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,21 +63,14 @@ const pollInterval = 100 * time.Microsecond
 type Options struct {
 	// Timeout bounds the wall-clock run time; 0 means 30 seconds.
 	Timeout time.Duration
-	// MaxJitter, when positive, delays every delivery by a uniform random
-	// duration in [0, MaxJitter) — the failure-injection knob that
-	// exercises message reordering across links. Deliveries on one
-	// (sender, receiver) link stay FIFO: the algorithms' correctness model
-	// (Yokoo et al.) assumes order-preserving channels, and reordering
-	// within a link genuinely breaks them (an old ok? overwriting a newer
-	// value leaves permanently stale views).
-	MaxJitter time.Duration
-	// Seed drives the jitter; runs with jitter are *not* reproducible
-	// (goroutine interleaving is inherently nondeterministic) but the seed
-	// decorrelates repeated test runs.
-	Seed int64
 	// Faults, when non-nil, injects a deterministic fault schedule: message
-	// drop (modeled as retransmission delay), duplication (suppressed at
-	// delivery), bounded extra delay, and per-agent crash points. Crashed
+	// drop and corruption (both modeled as retransmission delay),
+	// duplication (suppressed at delivery), bounded extra delay, and
+	// per-agent crash points. Delays reorder messages across links only:
+	// deliveries on one (sender, receiver) link stay FIFO, because the
+	// algorithms' correctness model (Yokoo et al.) assumes order-preserving
+	// channels, and reordering within a link genuinely breaks them (an old
+	// ok? overwriting a newer value leaves permanently stale views). Crashed
 	// agents restart from their last checkpoint when the schedule says so;
 	// agents that implement sim.Checkpointer resume mid-search, others
 	// restart from scratch.
@@ -135,26 +129,19 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		causal:    opts.Causal,
 		queueHist: opts.Telemetry.Registry().Histogram("discsp_queue_depth", telemetry.QueueDepthBuckets),
 	}
-	if opts.Faults != nil {
-		rt.inj = faults.New(*opts.Faults)
-	}
-	// The dispatcher owns every delayed delivery; it is needed whenever any
-	// fault or jitter can push a message into the future — including a
+	// The dispatcher owns every delayed delivery; it is needed whenever the
+	// fault schedule can push a message into the future — including a
 	// partition window, which holds crossing messages until it heals.
-	useDispatcher := opts.MaxJitter > 0 ||
-		(opts.Faults != nil && (opts.Faults.Drop > 0 || opts.Faults.Duplicate > 0 ||
-			opts.Faults.MaxDelay > 0 || len(opts.Faults.Partitions) > 0))
-	if useDispatcher {
-		rt.dispatch = true
-		rt.linkClock = make(map[linkKey]time.Time)
-		rt.linkSeq = make(map[linkKey]int64)
-		rt.delayed = make(chan delayedMsg)
-		rt.dispDone = make(chan struct{})
-		if opts.MaxJitter > 0 {
-			rt.jitter = opts.MaxJitter
-			rt.rng = rand.New(rand.NewSource(opts.Seed))
+	if f := opts.Faults; f != nil {
+		rt.inj = faults.New(*f)
+		if f.Drop > 0 || f.Corrupt > 0 || f.Duplicate > 0 || f.MaxDelay > 0 || len(f.Partitions) > 0 {
+			rt.dispatch = true
+			rt.linkClock = make(map[linkKey]time.Time)
+			rt.linkSeq = make(map[linkKey]int64)
+			rt.delayed = make(chan delayedMsg)
+			rt.dispDone = make(chan struct{})
+			go rt.dispatcher()
 		}
-		go rt.dispatcher()
 	}
 	for v := 0; v < n; v++ {
 		rt.agents[v] = rt.makeAgent(csp.Var(v))
@@ -174,11 +161,7 @@ func Run(problem *csp.Problem, makeAgent func(v csp.Var) sim.Agent, opts Options
 		rt.published[v].Store(int64(a.CurrentValue()))
 	}
 	for _, a := range rt.agents {
-		at := rt.causal.Attach(int(a.ID()), a)
-		at.Begin(causal.SpanInit, 0)
-		out := a.Init()
-		sim.StampBatch(at, out)
-		at.End()
+		out := sim.TracedInit(rt.causal.Attach(int(a.ID()), a), a)
 		// Init alone can prove insolubility (a domain wiped out by unary
 		// constraints), and no later step of that agent may report it.
 		if r, isReporter := a.(sim.InsolubleReporter); isReporter && r.Insoluble() {
@@ -267,10 +250,10 @@ type runtime struct {
 	sampler   *progress.Sampler
 	queueHist *telemetry.Histogram
 
-	dispatch  bool
-	jitter    time.Duration
-	jitterMu  sync.Mutex
-	rng       *rand.Rand
+	dispatch bool
+	// linkMu guards linkClock, linkSeq and seq: every agent routes its own
+	// output.
+	linkMu    sync.Mutex
 	linkClock map[linkKey]time.Time
 	linkSeq   map[linkKey]int64
 	seq       int64
@@ -360,11 +343,7 @@ func (rt *runtime) agentLoop(v int) {
 			// redelivered by retransmission.
 			rt.retransmits.Add(int64(len(batch)))
 		}
-		at.Begin(causal.SpanStep, steps)
-		sim.CauseBatch(at, batch)
-		out := a.Step(batch)
-		sim.StampBatch(at, out)
-		at.End()
+		out := sim.TracedStep(at, steps, batch, a.Step)
 		steps++
 		if crashPending {
 			if c, canSnap := a.(sim.Checkpointer); canSnap {
@@ -389,10 +368,11 @@ func (rt *runtime) fail(err error) {
 	rt.runErr.CompareAndSwap(nil, err)
 }
 
-// route delivers messages, applying the fault schedule and optional jitter.
-// Each logical message is counted in flight exactly once: a drop shows up as
+// route delivers messages, applying the fault schedule. Each logical
+// message is counted in flight exactly once: a drop shows up as
 // retransmission-backoff delay (the injector bounds attempts, so the first
-// successful attempt is computable at send time), and a duplicate is an
+// successful attempt is computable at send time), and so does a
+// corruption, which no checksum can catch without a wire. A duplicate is an
 // extra scheduled copy that the dedup layer discards at arrival. Per-link
 // FIFO is preserved by clamping each arrival to the link's previous one.
 func (rt *runtime) route(out []sim.Message) {
@@ -405,38 +385,26 @@ func (rt *runtime) route(out []sim.Message) {
 			rt.mailboxes[m.To()].put(m)
 			continue
 		}
-		rt.jitterMu.Lock()
+		rt.linkMu.Lock()
 		key := linkKey{from: m.From(), to: m.To()}
+		from, to := int(key.from), int(key.to)
 		now := time.Now()
+		seq := rt.linkSeq[key] + 1
+		rt.linkSeq[key] = seq
 		var delay time.Duration
-		if rt.jitter > 0 {
-			delay = time.Duration(rt.rng.Int63n(int64(rt.jitter)))
+		attempt := 0
+		for rt.inj.Dropped(from, to, seq, attempt) || rt.inj.Corrupted(from, to, seq, attempt) {
+			delay += faults.Backoff(attempt)
+			attempt++
 		}
-		var dupAt time.Time
-		hasDup := false
-		if rt.inj != nil {
-			seq := rt.linkSeq[key] + 1
-			rt.linkSeq[key] = seq
-			from, to := int(m.From()), int(m.To())
-			attempt := 0
-			for rt.inj.Dropped(from, to, seq, attempt) {
-				delay += faults.Backoff(attempt)
-				attempt++
-			}
-			rt.retransmits.Add(int64(attempt))
-			delay += rt.inj.Delay(from, to, seq, 0)
-			if rt.inj.Duplicated(from, to, seq) {
-				hasDup = true
-				dupAt = now.Add(rt.inj.Delay(from, to, seq, 1))
-			}
-		}
+		rt.retransmits.Add(int64(attempt))
+		delay += rt.inj.Delay(from, to, seq, 0)
 		arrival := now.Add(delay)
 		if rt.inj.AnyPartition() {
 			// A message crossing a partition cut is held at the boundary: it
 			// arrives when the window heals, or — under a never-healing
 			// window — effectively never, staying in flight so quiescence is
 			// not declared while traffic is stranded.
-			from, to := int(m.From()), int(m.To())
 			if cut, heal, heals := rt.inj.PartitionedAt(from, to, arrival.Sub(rt.start)); cut {
 				rt.partitioned.Add(1)
 				if heals {
@@ -453,11 +421,12 @@ func (rt *runtime) route(out []sim.Message) {
 		rt.seq++
 		dm := delayedMsg{at: arrival, seq: rt.seq, msg: m}
 		var ddm delayedMsg
+		hasDup := rt.inj.Duplicated(from, to, seq)
 		if hasDup {
 			rt.seq++
-			ddm = delayedMsg{at: dupAt, seq: rt.seq, msg: m, dup: true}
+			ddm = delayedMsg{at: now.Add(rt.inj.Delay(from, to, seq, 1)), seq: rt.seq, msg: m, dup: true}
 		}
-		rt.jitterMu.Unlock()
+		rt.linkMu.Unlock()
 		select {
 		case rt.delayed <- dm:
 		case <-rt.stop:

@@ -9,6 +9,7 @@ import (
 	"github.com/discsp/discsp/internal/breakout"
 	"github.com/discsp/discsp/internal/core"
 	"github.com/discsp/discsp/internal/csp"
+	"github.com/discsp/discsp/internal/faults"
 	"github.com/discsp/discsp/internal/gen"
 	"github.com/discsp/discsp/internal/sim"
 )
@@ -94,9 +95,9 @@ func TestAsyncABTDetectsInsolubility(t *testing.T) {
 	}
 }
 
-// TestAsyncAWCWithJitter injects random per-link delivery delays (FIFO per
-// link, reordered across links) on small, loosely constrained instances;
-// the algorithm must still converge.
+// TestAsyncAWCWithJitter injects the fault schedule's per-message delivery
+// delays (FIFO per link, reordered across links) on small, loosely
+// constrained instances; the algorithm must still converge.
 func TestAsyncAWCWithJitter(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		inst, err := gen.Coloring(15, 30, 3, seed)
@@ -106,12 +107,12 @@ func TestAsyncAWCWithJitter(t *testing.T) {
 		init := gen.RandomInitial(inst.Problem, seed+20)
 		res, err := Run(inst.Problem,
 			awcFactory(inst.Problem, init, core.Learning{Kind: core.LearnResolvent}),
-			Options{MaxJitter: 100 * time.Microsecond, Seed: seed, Timeout: 20 * time.Second})
+			Options{Faults: &faults.Config{Seed: seed, MaxDelay: 100 * time.Microsecond}, Timeout: 20 * time.Second})
 		if err != nil {
 			t.Fatalf("seed %d: %v (res=%+v)", seed, err, res)
 		}
 		if !res.Solved {
-			t.Fatalf("seed %d: not solved under jitter: %+v", seed, res)
+			t.Fatalf("seed %d: not solved under delay: %+v", seed, res)
 		}
 	}
 }
@@ -219,12 +220,12 @@ func TestAsyncDBWithJitter(t *testing.T) {
 	init := gen.RandomInitial(inst.Problem, 42)
 	res, err := Run(inst.Problem, func(v csp.Var) sim.Agent {
 		return breakout.NewAgent(v, inst.Problem, init[v])
-	}, Options{MaxJitter: 50 * time.Microsecond, Seed: 7, Timeout: 20 * time.Second})
+	}, Options{Faults: &faults.Config{Seed: 7, MaxDelay: 50 * time.Microsecond}, Timeout: 20 * time.Second})
 	if err != nil {
 		t.Fatalf("%v (res=%+v)", err, res)
 	}
 	if !res.Solved {
-		t.Fatalf("DB under jitter not solved: %+v", res)
+		t.Fatalf("DB under delay not solved: %+v", res)
 	}
 }
 

@@ -32,16 +32,14 @@ func TestAsyncQuiescenceWithInFlightDuplicates(t *testing.T) {
 	res, err := Run(inst.Problem, func(v csp.Var) sim.Agent {
 		return breakout.NewAgent(v, inst.Problem, init[v])
 	}, Options{
-		MaxJitter: 200 * time.Microsecond,
-		Seed:      7,
-		Timeout:   20 * time.Second,
-		Faults:    &faults.Config{Seed: 3, Duplicate: 0.5, MaxDelay: 300 * time.Microsecond},
+		Timeout: 20 * time.Second,
+		Faults:  &faults.Config{Seed: 3, Duplicate: 0.5, MaxDelay: 500 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatalf("%v (res=%+v)", err, res)
 	}
 	if !res.Solved {
-		t.Fatalf("DB under jitter+duplicates not solved: %+v", res)
+		t.Fatalf("DB under delay+duplicates not solved: %+v", res)
 	}
 	if res.DuplicatesSuppressed == 0 {
 		t.Fatalf("no duplicates suppressed at 50%% dup rate: %+v", res)
@@ -95,6 +93,143 @@ func TestAsyncAWCDropRetransmit(t *testing.T) {
 	}
 	if res.Retransmits == 0 {
 		t.Fatalf("no retransmits recorded at 20%% drop: %+v", res)
+	}
+}
+
+// TestAsyncCorruptDegradesToDrop runs a corrupt-only schedule: with no wire
+// there is no checksum to catch a damaged copy, so every corrupted attempt
+// must cost a retransmission, exactly like a lost one, and none may count
+// as a detected corrupt frame.
+func TestAsyncCorruptDegradesToDrop(t *testing.T) {
+	inst, err := gen.Coloring(15, 30, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := gen.RandomInitial(inst.Problem, 22)
+	res, err := Run(inst.Problem,
+		awcFactory(inst.Problem, init, core.Learning{Kind: core.LearnResolvent}),
+		Options{
+			Timeout: 20 * time.Second,
+			Faults:  &faults.Config{Seed: 9, Corrupt: 0.2},
+		})
+	if err != nil {
+		t.Fatalf("run: %v (res=%+v)", err, res)
+	}
+	if !res.Solved {
+		t.Fatalf("not solved under 20%% corruption: %+v", res)
+	}
+	if res.Retransmits == 0 {
+		t.Fatalf("no retransmits recorded at 20%% corruption: %+v", res)
+	}
+	if res.CorruptFrames != 0 {
+		t.Fatalf("CorruptFrames = %d, want 0: a corruption here is a drop", res.CorruptFrames)
+	}
+}
+
+// burstMsg is the n-th message of a sender's burst.
+type burstMsg struct {
+	from, to sim.AgentID
+	n        int
+}
+
+func (m burstMsg) From() sim.AgentID { return m.from }
+func (m burstMsg) To() sim.AgentID   { return m.to }
+
+// burstAgent sends burst numbered messages to agent to at Init, and records
+// what it receives. It holds value 0 until it has received want messages,
+// then moves to value 1.
+type burstAgent struct {
+	id, to      sim.AgentID
+	burst, want int
+	got         []burstMsg
+}
+
+func (a *burstAgent) ID() sim.AgentID { return a.id }
+
+func (a *burstAgent) Init() []sim.Message {
+	out := make([]sim.Message, a.burst)
+	for i := range out {
+		out[i] = burstMsg{from: a.id, to: a.to, n: i}
+	}
+	return out
+}
+
+func (a *burstAgent) Step(in []sim.Message) []sim.Message {
+	for _, m := range in {
+		a.got = append(a.got, m.(burstMsg))
+	}
+	return nil
+}
+
+func (a *burstAgent) CurrentValue() csp.Value {
+	if a.want > 0 && len(a.got) == a.want {
+		return 1
+	}
+	return 0
+}
+
+func (a *burstAgent) Checks() int64 { return 0 }
+
+// TestAsyncDelayKeepsLinkFIFO checks route's per-link clamp under the fault
+// schedule's delays. Agents 0 and 1 each send a numbered burst to agent 2,
+// and Run routes agent 0's whole burst before agent 1's. The seed is chosen
+// so that the hashed delays on link 0→2 are out of order and link 1→2's
+// first delay is far below link 0→2's largest. Every link must still
+// deliver in send order, while the two links interleave out of send order.
+func TestAsyncDelayKeepsLinkFIFO(t *testing.T) {
+	const (
+		burst    = 16
+		maxDelay = 20 * time.Millisecond
+	)
+	cfg := faults.Config{Seed: 10, MaxDelay: maxDelay}
+	inj := faults.New(cfg)
+	var largest0 time.Duration
+	inverted := false
+	for seq := int64(1); seq <= burst; seq++ {
+		d := inj.Delay(0, 2, seq, 0)
+		inverted = inverted || d < largest0
+		largest0 = max(largest0, d)
+	}
+	if !inverted || largest0-inj.Delay(1, 2, 1, 0) < maxDelay/2 {
+		t.Fatalf("seed %d does not reorder: link 0→2 inverted=%v, largest delay %v, link 1→2's first %v",
+			cfg.Seed, inverted, largest0, inj.Delay(1, 2, 1, 0))
+	}
+
+	// Agent 2 must not take value 0 (a unary constraint), so the run is
+	// solved only once it has received both bursts.
+	p := csp.NewProblemUniform(3, 2)
+	if err := p.AddNogood(csp.MustNogood(csp.Lit{Var: 2, Val: 0})); err != nil {
+		t.Fatal(err)
+	}
+	recv := &burstAgent{id: 2, want: 2 * burst}
+	res, err := Run(p, func(v csp.Var) sim.Agent {
+		if v == 2 {
+			return recv
+		}
+		return &burstAgent{id: sim.AgentID(v), to: 2, burst: burst}
+	}, Options{Timeout: 10 * time.Second, Faults: &cfg})
+	if err != nil {
+		t.Fatalf("run: %v (res=%+v)", err, res)
+	}
+	if !res.Solved || len(recv.got) != 2*burst {
+		t.Fatalf("received %d of %d messages: %+v", len(recv.got), 2*burst, res)
+	}
+	next := [2]int{}
+	firstOf1, lastOf0 := -1, -1
+	for i, m := range recv.got {
+		if m.n != next[m.from] {
+			t.Fatalf("link %d→2 delivered message %d where %d was next: arrivals %v", m.from, m.n, next[m.from], recv.got)
+		}
+		next[m.from]++
+		if m.from == 1 && firstOf1 < 0 {
+			firstOf1 = i
+		}
+		if m.from == 0 {
+			lastOf0 = i
+		}
+	}
+	if firstOf1 > lastOf0 {
+		t.Fatalf("links did not interleave: all of 0→2 arrived before 1→2: arrivals %v", recv.got)
 	}
 }
 

@@ -95,9 +95,10 @@ const DefaultMaxAttempts = 8
 // DefaultRestartDelay is the downtime when Crash.RestartDelay is 0.
 const DefaultRestartDelay = 5 * time.Millisecond
 
-// Backoff bounds for retransmission scheduling; shared by the netrun node
-// transport and the async runtime's loss model so both recover on the same
-// curve.
+// Backoff bounds for the async runtime's loss model: the delay a dropped or
+// corrupted attempt adds before the next one. TCP nodes do not use this
+// curve; their wire.SendLink retransmits on its own base and cap
+// (retransmitBase and retransmitCap in internal/netrun).
 const (
 	// BackoffBase is the delay before the first retransmission.
 	BackoffBase = 2 * time.Millisecond

@@ -343,6 +343,22 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 		}
 		return send(state)
 	}
+	// frame encodes an activation's output and stamps it into the send
+	// links, appending the frames to dst for the caller to send: stamped
+	// means buffered for retransmission until acked.
+	frame := func(dst []wire.Envelope, out []sim.Message, now time.Time) ([]wire.Envelope, error) {
+		for _, m := range out {
+			env, err := wire.Encode(m)
+			if err != nil {
+				return dst, err
+			}
+			if env, err = sendLink(env.To).Stamp(env, now); err != nil {
+				return dst, err
+			}
+			dst = append(dst, env)
+		}
+		return dst, nil
+	}
 
 	// Crash schedule: only the first incarnation crashes (the schedule is
 	// one crash per agent), and only agents that will restart pay for
@@ -436,6 +452,7 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	at := st.at
 	fw.EnableBatching(batchMaxFrames, batchMaxBytes)
 
+	var outFrames []wire.Envelope // an activation's stamped output
 	now := time.Now()
 	// A resumed session replays; so does a restored one. A node whose
 	// earlier sessions all died before Init resumes without having run it:
@@ -458,21 +475,14 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 		}
 		st.pendingReport = 0
 	} else {
-		at.Begin(causal.SpanInit, 0)
-		out := agent.Init()
+		out := sim.TracedInit(at, agent)
 		st.initialized = true
-		sim.StampBatch(at, out)
-		at.End()
-		for _, m := range out {
-			env, err := wire.Encode(m)
-			if err != nil {
-				return endStop, err
-			}
-			env, err = sendLink(env.To).Stamp(env, now)
-			if err != nil {
-				return endStop, err
-			}
-			if err := send(env); err != nil {
+		var err error
+		if outFrames, err = frame(outFrames, out, now); err != nil {
+			return endStop, err
+		}
+		for _, of := range outFrames {
+			if err := send(of); err != nil {
 				return fail(err)
 			}
 		}
@@ -562,10 +572,9 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 	ticker := time.NewTicker(retransmitTick)
 	defer ticker.Stop()
 	var (
-		batch     []sim.Message   // what the read group released, per-sender FIFO
-		heard     []int           // the links its data frames came from, each once
-		released  []wire.Envelope // what one Accept released, in order
-		outFrames []wire.Envelope // a step's stamped output
+		batch    []sim.Message   // what the read group released, per-sender FIFO
+		heard    []int           // the links its data frames came from, each once
+		released []wire.Envelope // what one Accept released, in order
 	)
 	for {
 		select {
@@ -628,26 +637,15 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 					now := time.Now()
 					outFrames = outFrames[:0]
 					if len(batch) > 0 {
-						at.Begin(causal.SpanStep, st.steps)
-						sim.CauseBatch(at, batch)
-						out := agent.Step(batch)
-						sim.StampBatch(at, out)
-						at.End()
+						out := sim.TracedStep(at, st.steps, batch, agent.Step)
 						st.steps++
 						// Stamp the output into the send links BEFORE
 						// checkpointing: if the crash hits after the
 						// checkpoint, the output survives in the unacked
 						// buffers and the restart retransmits it.
-						for _, m := range out {
-							env, err := wire.Encode(m)
-							if err != nil {
-								return endStop, err
-							}
-							env, err = sendLink(env.To).Stamp(env, now)
-							if err != nil {
-								return endStop, err
-							}
-							outFrames = append(outFrames, env)
+						var err error
+						if outFrames, err = frame(outFrames, out, now); err != nil {
+							return endStop, err
 						}
 						// Checkpoint before acknowledging anything: acked
 						// must mean durable. The acks and state report for
@@ -717,23 +715,19 @@ func runSession(cfg nodeConfig, st *nodeState, conn net.Conn, incarnation, sessi
 				// its hold); without this, both sides idle believing they
 				// are mutually consistent and the run stalls to timeout.
 				if ra, ok := agent.(sim.Reannouncer); ok {
-					ms := ra.Reannounce(sim.AgentID(b))
-					at.Begin(causal.SpanStep, st.steps)
-					sim.StampBatch(at, ms)
-					at.End()
-					for _, m := range ms {
-						env, err := wire.Encode(m)
-						if err != nil {
-							return endStop, err
-						}
-						env, err = sendLink(env.To).Stamp(env, now)
-						if err != nil {
-							return endStop, err
-						}
-						if err := send(env); err != nil {
+					ms := sim.TracedStep(at, st.steps, nil, func([]sim.Message) []sim.Message {
+						return ra.Reannounce(sim.AgentID(b))
+					})
+					var err error
+					if outFrames, err = frame(outFrames[:0], ms, now); err != nil {
+						return endStop, err
+					}
+					for _, of := range outFrames {
+						if err := send(of); err != nil {
 							return failRW(err)
 						}
 					}
+					clear(outFrames)
 				}
 				if err := fw.Flush(); err != nil {
 					return failRW(err)

@@ -233,11 +233,7 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 	var delivered typeCounts
 	var startupMax int64
 	for i, a := range agents {
-		at := tracerOf(i)
-		at.Begin(causal.SpanInit, 0)
-		out := a.Init()
-		StampBatch(at, out)
-		at.End()
+		out := TracedInit(tracerOf(i), a)
 		route(inbox, out)
 		if c := a.Checks(); c > startupMax {
 			startupMax = c
@@ -269,12 +265,7 @@ func RunAgents(agents []Agent, opts Options, solved func() bool) (Result, error)
 			for _, m := range in {
 				delivered.add(m)
 			}
-			at := tracerOf(i)
-			at.Begin(causal.SpanStep, cycle)
-			CauseBatch(at, in)
-			out := a.Step(in)
-			StampBatch(at, out)
-			at.End()
+			out := TracedStep(tracerOf(i), cycle, in, a.Step)
 			messagesOut += len(out)
 			route(next, out)
 			// Step may not keep in, so its array is reused; clearing it
@@ -405,21 +396,40 @@ func (c *typeCounts) byName() map[string]int {
 	return counts
 }
 
-// CauseBatch records a delivery batch's trace IDs as causes of the open
-// span. No-op on a nil handle. Every runtime's step loop calls it.
-func CauseBatch(at *causal.AgentTracer, in []Message) {
-	if at == nil {
-		return
-	}
-	for _, m := range in {
-		at.Cause(m)
-	}
+// TracedInit runs a's Init as one activation: an init span whose emissions
+// are Init's output, each message stamped in place with its trace ID. Every
+// runtime starts its agents through it. A nil handle runs Init untraced.
+func TracedInit(at *causal.AgentTracer, a Agent) []Message {
+	at.Begin(causal.SpanInit, 0)
+	out := a.Init()
+	stampBatch(at, out)
+	at.End()
+	return out
 }
 
-// StampBatch assigns trace IDs to an outgoing batch in place, recording
+// TracedStep runs step on the delivery batch in as one activation: a step
+// span numbered n (the cycle here, the step count in the concurrent
+// runtimes) whose causes are the batch's trace IDs and whose emissions are
+// step's output, stamped in place. step is an agent's Step, or a TCP node's
+// re-announce to a relaunched peer, with no batch. A nil handle runs step
+// untraced.
+func TracedStep(at *causal.AgentTracer, n int, in []Message, step func([]Message) []Message) []Message {
+	at.Begin(causal.SpanStep, n)
+	if at != nil {
+		for _, m := range in {
+			at.Cause(m)
+		}
+	}
+	out := step(in)
+	stampBatch(at, out)
+	at.End()
+	return out
+}
+
+// stampBatch assigns trace IDs to an outgoing batch in place, recording
 // each emission on the open span. No-op on a nil handle; messages that do
 // not implement causal.Traced pass through unchanged.
-func StampBatch(at *causal.AgentTracer, out []Message) {
+func stampBatch(at *causal.AgentTracer, out []Message) {
 	if at == nil {
 		return
 	}

@@ -81,15 +81,13 @@ type Options struct {
 	MaxCycles int
 	// Timeout bounds SolveAsync's wall-clock time; 0 means 30s.
 	Timeout time.Duration
-	// MaxJitter, when positive, randomizes SolveAsync's message delivery
-	// delay in [0, MaxJitter).
-	MaxJitter time.Duration
 	// FaultProfile, when non-empty, injects a deterministic fault schedule
 	// into SolveAsync and SolveTCP (Solve has no network). The syntax is
-	// faults.ProfileSyntax: comma-separated drop=P, dup=P, delay=DUR,
-	// crash=AGENT@STEPS[rDUR], partition=AT+DUR (or AT+never), or the
-	// "chaos" preset. The algorithms ride out every profile the transport
-	// can survive; the Result transport counters report what it cost.
+	// faults.ProfileSyntax: comma-separated drop=P, dup=P, corrupt=P,
+	// delay=DUR, crash=AGENT@STEPS[rDUR], partition=AT+DUR (or AT+never),
+	// or the "chaos" preset. The algorithms ride out every profile the
+	// transport can survive; the Result transport counters report what it
+	// cost.
 	FaultProfile string
 	// FaultSeed seeds the fault schedule's hash-keyed decisions; 0 means 1.
 	// Same profile + same seed = same faults, independent of scheduling.
@@ -557,8 +555,6 @@ func SolveAsync(p *Problem, opts Options) (Result, error) {
 	tracer := opts.startRun(p, "async")
 	res, err := async.Run(p, opts.makeAgent(p, init), async.Options{
 		Timeout:         opts.Timeout,
-		MaxJitter:       opts.MaxJitter,
-		Seed:            opts.InitialSeed,
 		Faults:          fcfg,
 		WatchdogCadence: opts.WatchdogCadence,
 		Telemetry:       opts.Telemetry,
