@@ -32,15 +32,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/discsp/discsp"
+	"github.com/discsp/discsp/internal/cli"
 	"github.com/discsp/discsp/internal/experiments"
 	"github.com/discsp/discsp/internal/faults"
 	"github.com/discsp/discsp/internal/gen"
@@ -56,6 +54,12 @@ func main() {
 }
 
 func run() error {
+	var (
+		streams  cli.Streams
+		profiles cli.Profiles
+	)
+	streams.Register(flag.CommandLine, false)
+	profiles.Register(flag.CommandLine)
 	var (
 		table     = flag.Int("table", 0, "table number to regenerate (1-10)")
 		figure    = flag.Bool("figure", false, "regenerate Figure 2")
@@ -83,35 +87,10 @@ func run() error {
 		faultsArg = flag.String("faults", "", "fault profile for -runtimes (async/tcp legs): "+faults.ProfileSyntax)
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule in -faults")
 		shards    = flag.Int("shards", 0, "shard the -runtimes tcp leg's hub across N relay listeners; 0 = one")
-		causalOn  = flag.Bool("causal", false, "causally trace the -runtimes tcp leg (spans, message trace IDs, nogood lineage); needs -trace-out")
-		causalOut = flag.String("trace-out", "", "write the -causal trace stream to this file (read it with dcsptrace)")
-
-		telemetryOut = flag.String("telemetry", "", "write the schema-2 telemetry JSONL stream (per-trial events + metrics snapshots) to this file")
-		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /debug/vars, and /debug/pprof on this address while the run is live")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpu profile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			if err := writeMemProfile(*memprofile); err != nil {
-				fmt.Fprintln(os.Stderr, "dcspbench: heap profile:", err)
-			}
-		}()
-	}
-
+	// Every check runs before an output opens, so a refusal leaves no file.
 	scale := experiments.PaperScale()
 	if *quick {
 		scale = experiments.QuickScale()
@@ -156,45 +135,61 @@ func run() error {
 	if *warmOut != "" && *warmstart == "" {
 		return fmt.Errorf("-warmout needs -warmstart")
 	}
-	if (*causalOn || *causalOut != "") && *runtimes == "" {
+	if (streams.Causal || streams.TraceOut != "") && *runtimes == "" {
 		return fmt.Errorf("-causal/-trace-out trace the -runtimes tcp leg; pass -runtimes FAMILY")
 	}
-
-	// Telemetry: the grids emit one trial event per completed trial (in
-	// deterministic aggregation order) plus a metrics snapshot per grid;
-	// attaching it never changes trial results or table aggregates.
-	if *telemetryOut != "" || *metricsAddr != "" {
-		reg := telemetry.NewRegistry()
-		var stream io.Writer
-		if *telemetryOut != "" {
-			f, err := os.Create(*telemetryOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			stream = f
-		}
-		tel := telemetry.NewRun(reg, stream)
-		tel.Emit(telemetry.Event{Kind: telemetry.KindMeta, Runtime: "bench"})
-		if *metricsAddr != "" {
-			srv, err := telemetry.Serve(*metricsAddr, reg)
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "dcspbench: serving metrics at http://%s/metrics\n", srv.Addr)
-		}
-		defer func() {
-			if err := tel.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "dcspbench: telemetry stream:", err)
-			}
-		}()
-		scale.Telemetry = tel
+	if err := streams.Check(); err != nil {
+		return err
 	}
-
 	if *resume && *journal == "" {
 		return fmt.Errorf("-resume needs -journal")
 	}
+
+	// job runs the chosen mode on scale and runtimeOpts as they stand when
+	// it is called, once the outputs are open.
+	var (
+		job         func() error
+		kind        experiments.ProblemKind
+		runtimeOpts = discsp.Options{FaultProfile: *faultsArg, FaultSeed: *faultSeed, TCPShards: *shards}
+	)
+	switch {
+	case *warmstart != "":
+		var kinds []experiments.ProblemKind
+		kinds, err = parseKinds(*warmstart)
+		job = func() error { return printWarmStart(kinds, scale, *warmOut) }
+	case *runtimes != "":
+		kind, err = experiments.ParseKind(*runtimes)
+		job = func() error { return printRuntimes(kind, *sweepN, scale, runtimeOpts, markdown) }
+	case *blocks != "":
+		kind, err = experiments.ParseKind(*blocks)
+		job = func() error { return printBlockSweep(kind, *sweepN, scale) }
+	case *sweep != "":
+		kind, err = experiments.ParseKind(*sweep)
+		job = func() error { return printSweep(kind, *sweepN, scale) }
+	case *all || *figure:
+		kind, err = experiments.ParseKind(*figKind)
+		job = func() error {
+			if *all {
+				for num := 1; num <= 10; num++ {
+					if err := printTable(num, scale, markdown); err != nil {
+						return err
+					}
+				}
+			}
+			return printFigure(kind, *figN, scale, markdown)
+		}
+	case *table > 10:
+		err = fmt.Errorf("no table %d in the paper (want 1-10)", *table)
+	case *table >= 1:
+		job = func() error { return printTable(*table, scale, markdown) }
+	default:
+		flag.Usage()
+		err = fmt.Errorf("pass -table N, -figure, -all, or -sweep FAMILY")
+	}
+	if err != nil {
+		return err
+	}
+
 	if *journal != "" {
 		j, err := experiments.OpenJournal(*journal, scale.JournalMeta(), *resume)
 		if err != nil {
@@ -206,48 +201,15 @@ func run() error {
 		}
 		scale.Journal = j
 	}
-
-	switch {
-	case *warmstart != "":
-		return printWarmStart(*warmstart, scale, *warmOut)
-	case *runtimes != "":
-		opts := discsp.Options{FaultProfile: *faultsArg, FaultSeed: *faultSeed, TCPShards: *shards}
-		if *causalOn != (*causalOut != "") {
-			return fmt.Errorf("-causal and -trace-out go together")
-		}
-		if *causalOn {
-			f, err := os.Create(*causalOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			opts.Causal = discsp.NewTelemetry(nil, f)
-			defer func() {
-				if err := opts.Causal.Flush(); err != nil {
-					fmt.Fprintln(os.Stderr, "dcspbench: causal trace stream:", err)
-				}
-			}()
-		}
-		return printRuntimes(*runtimes, *sweepN, scale, opts, markdown)
-	case *blocks != "":
-		return printBlockSweep(*blocks, *sweepN, scale)
-	case *sweep != "":
-		return printSweep(*sweep, *sweepN, scale)
-	case *all:
-		for num := 1; num <= 10; num++ {
-			if err := printTable(num, scale, markdown); err != nil {
-				return err
-			}
-		}
-		return printFigure(*figKind, *figN, scale, markdown)
-	case *figure:
-		return printFigure(*figKind, *figN, scale, markdown)
-	case *table >= 1:
-		return printTable(*table, scale, markdown)
-	default:
-		flag.Usage()
-		return fmt.Errorf("pass -table N, -figure, -all, or -sweep FAMILY")
+	outs, err := cli.Open("dcspbench", &streams, &profiles)
+	if err != nil {
+		return err
 	}
+	defer outs.Close()
+	outs.Telemetry.Emit(telemetry.Event{Kind: telemetry.KindMeta, Runtime: "bench"})
+	scale.Telemetry = outs.Telemetry
+	runtimeOpts.Causal = outs.Causal
+	return job()
 }
 
 func printTable(num int, scale experiments.Scale, markdown bool) error {
@@ -267,11 +229,7 @@ func printTable(num int, scale experiments.Scale, markdown bool) error {
 	return err
 }
 
-func printFigure(kindName string, n int, scale experiments.Scale, markdown bool) error {
-	kind, err := parseKind(kindName)
-	if err != nil {
-		return err
-	}
+func printFigure(kind experiments.ProblemKind, n int, scale experiments.Scale, markdown bool) error {
 	fig, err := experiments.Figure2(kind, n, nil, scale)
 	if err != nil {
 		return err
@@ -282,11 +240,7 @@ func printFigure(kindName string, n int, scale experiments.Scale, markdown bool)
 	return fig.Fprint(os.Stdout)
 }
 
-func printSweep(kindName string, n int, scale experiments.Scale) error {
-	kind, err := parseKind(kindName)
-	if err != nil {
-		return err
-	}
+func printSweep(kind experiments.ProblemKind, n int, scale experiments.Scale) error {
 	alg := experiments.AWC(experiments.BestLearning(kind))
 	sweep, err := experiments.RatioSweep(kind, n, alg, nil, scale)
 	if err != nil {
@@ -300,11 +254,7 @@ func printSweep(kindName string, n int, scale experiments.Scale) error {
 	return err
 }
 
-func printRuntimes(kindName string, n int, scale experiments.Scale, opts discsp.Options, markdown bool) error {
-	kind, err := parseKind(kindName)
-	if err != nil {
-		return err
-	}
+func printRuntimes(kind experiments.ProblemKind, n int, scale experiments.Scale, opts discsp.Options, markdown bool) error {
 	problem, err := experiments.MakeInstance(kind, n, 1+scale.SeedBase)
 	if err != nil {
 		return err
@@ -352,19 +302,7 @@ type warmReport struct {
 // printWarmStart runs the repeat-solve workload for every requested family
 // at its paper sizes (or -ns), prints a table, and optionally writes the
 // JSON report consumed by BENCH_6.json.
-func printWarmStart(families string, scale experiments.Scale, outPath string) error {
-	var kinds []experiments.ProblemKind
-	if families == "all" {
-		kinds = []experiments.ProblemKind{experiments.D3C, experiments.D3S, experiments.D3S1}
-	} else {
-		for _, name := range strings.Split(families, ",") {
-			kind, err := parseKind(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			kinds = append(kinds, kind)
-		}
-	}
+func printWarmStart(kinds []experiments.ProblemKind, scale experiments.Scale, outPath string) error {
 	report := warmReport{
 		Note:      "warm-start repeat-solve workload: same instance and initial assignment, cold (empty store) vs warm (store seeded from a cache harvested off one prior solve of the instance)",
 		Retention: scale.Retention.String(),
@@ -418,11 +356,7 @@ func printWarmStart(families string, scale experiments.Scale, outPath string) er
 	return f.Close()
 }
 
-func printBlockSweep(kindName string, n int, scale experiments.Scale) error {
-	kind, err := parseKind(kindName)
-	if err != nil {
-		return err
-	}
+func printBlockSweep(kind experiments.ProblemKind, n int, scale experiments.Scale) error {
 	sweep, err := experiments.BlockSweep(kind, n, nil, scale)
 	if err != nil {
 		return err
@@ -430,29 +364,20 @@ func printBlockSweep(kindName string, n int, scale experiments.Scale) error {
 	return sweep.Fprint(os.Stdout)
 }
 
-// writeMemProfile snapshots the heap (after a GC, so the profile reflects
-// live objects) into path.
-func writeMemProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// parseKinds parses the -warmstart list: comma-separated families, or all.
+func parseKinds(families string) ([]experiments.ProblemKind, error) {
+	if families == "all" {
+		families = "d3c,d3s,d3s1"
 	}
-	defer f.Close()
-	runtime.GC()
-	return pprof.WriteHeapProfile(f)
-}
-
-func parseKind(s string) (experiments.ProblemKind, error) {
-	switch s {
-	case "d3c":
-		return experiments.D3C, nil
-	case "d3s":
-		return experiments.D3S, nil
-	case "d3s1":
-		return experiments.D3S1, nil
-	default:
-		return 0, fmt.Errorf("unknown family %q (want d3c, d3s, or d3s1)", s)
+	var kinds []experiments.ProblemKind
+	for _, name := range strings.Split(families, ",") {
+		kind, err := experiments.ParseKind(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		kinds = append(kinds, kind)
 	}
+	return kinds, nil
 }
 
 func parseNs(s string) ([]int, error) {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/discsp/discsp/internal/causal"
-	"github.com/discsp/discsp/internal/experiments"
 	"github.com/discsp/discsp/internal/telemetry"
 )
 
@@ -124,6 +123,33 @@ func TestCompareRuntimesTracedTCP(t *testing.T) {
 	}
 }
 
+// TestRefusedLeavesNoFile runs command lines dcspbench refuses and checks
+// that each fails without creating a file: every check, the mode's
+// families included, runs before an output opens.
+func TestRefusedLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	f := func(name string) string { return filepath.Join(dir, name) }
+	for _, args := range [][]string{
+		{"-runtimes", "d3c", "-sweepn", "20", "-causal", "-telemetry", f("bt.jsonl"), "-journal", f("bj.jsonl")},
+		{"-sweep", "nope", "-telemetry", f("t.jsonl"), "-cpuprofile", f("cpu.prof")},
+		{"-telemetry", f("t.jsonl"), "-journal", f("j.jsonl")},
+		{"-table", "11", "-telemetry", f("t.jsonl"), "-journal", f("j.jsonl")},
+		{"-table", "1", "-resume", "-telemetry", f("t.jsonl"), "-memprofile", f("mem.prof")},
+	} {
+		oldArgs, oldFlags := os.Args, flag.CommandLine
+		os.Args = append([]string{"dcspbench"}, args...)
+		flag.CommandLine = flag.NewFlagSet("dcspbench", flag.ContinueOnError)
+		err := run()
+		os.Args, flag.CommandLine = oldArgs, oldFlags
+		if err == nil {
+			t.Errorf("dcspbench %v ran; want it refused", args)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("dcspbench %v left %d files behind", args, len(entries))
+		}
+	}
+}
+
 func TestParseNs(t *testing.T) {
 	tests := []struct {
 		in      string
@@ -155,30 +181,6 @@ func TestParseNs(t *testing.T) {
 				t.Errorf("parseNs(%q) = %v, want %v", tt.in, got, tt.want)
 				break
 			}
-		}
-	}
-}
-
-func TestParseKind(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    experiments.ProblemKind
-		wantErr bool
-	}{
-		{"d3c", experiments.D3C, false},
-		{"d3s", experiments.D3S, false},
-		{"d3s1", experiments.D3S1, false},
-		{"nope", 0, true},
-		{"", 0, true},
-	}
-	for _, tt := range tests {
-		got, err := parseKind(tt.in)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("parseKind(%q) err = %v, wantErr %v", tt.in, err, tt.wantErr)
-			continue
-		}
-		if err == nil && got != tt.want {
-			t.Errorf("parseKind(%q) = %v, want %v", tt.in, got, tt.want)
 		}
 	}
 }

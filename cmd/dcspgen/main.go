@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 	"os"
 
 	"github.com/discsp/discsp/internal/csp"
+	"github.com/discsp/discsp/internal/experiments"
 	"github.com/discsp/discsp/internal/gen"
 )
 
@@ -42,63 +44,58 @@ func run() error {
 	)
 	flag.Parse()
 
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	// The instance is generated into memory before the output file exists,
+	// so a refused family or size leaves no file behind.
+	var buf bytes.Buffer
+	bin := gen.BinaryCSPConfig{Vars: *n, DomainSize: *domain, Density: *density, Tightness: *tightness, Force: true}
+	if err := generate(&buf, *family, *n, *m, *colors, *seed, bin); err != nil {
+		return err
 	}
+	if *out == "" {
+		_, err := os.Stdout.Write(buf.Bytes())
+		return err
+	}
+	return os.WriteFile(*out, buf.Bytes(), 0o666)
+}
 
-	switch *family {
-	case "d3c":
-		edges := *m
-		if edges == 0 {
-			edges = int(math.Round(2.7 * float64(*n)))
-		}
-		inst, err := gen.Coloring(*n, edges, *colors, *seed)
-		if err != nil {
-			return err
-		}
-		return csp.WriteCOL(w, inst.Graph,
-			fmt.Sprintf("solvable %d-coloring, n=%d m=%d seed=%d (Minton et al. method)", *colors, *n, edges, *seed))
-	case "d3s":
-		clauses := *m
-		if clauses == 0 {
-			clauses = int(math.Round(4.3 * float64(*n)))
-		}
-		inst, err := gen.ForcedSAT3(*n, clauses, *seed)
-		if err != nil {
-			return err
-		}
-		return csp.WriteCNF(w, inst.CNF,
-			fmt.Sprintf("forced satisfiable 3SAT, n=%d m=%d seed=%d (3SAT-GEN style)", *n, clauses, *seed))
-	case "d3s1":
-		clauses := *m
-		if clauses == 0 {
-			clauses = int(math.Round(3.4 * float64(*n)))
-		}
-		inst, err := gen.UniqueSAT3(*n, clauses, *seed)
-		if err != nil {
-			return err
-		}
-		return csp.WriteCNF(w, inst.CNF,
-			fmt.Sprintf("single-solution 3SAT, n=%d m=%d seed=%d (3ONESAT-GEN style)", *n, clauses, *seed))
-	case "bin":
-		inst, err := gen.RandomBinaryCSP(gen.BinaryCSPConfig{
-			Vars:       *n,
-			DomainSize: *domain,
-			Density:    *density,
-			Tightness:  *tightness,
-			Force:      true,
-		}, *seed)
+// generate writes one instance of the family to w: a paper family with m
+// constraints (0 means the paper's ratio), or a bin instance.
+func generate(w io.Writer, family string, n, m, colors int, seed int64, bin gen.BinaryCSPConfig) error {
+	if family == "bin" {
+		inst, err := gen.RandomBinaryCSP(bin, seed)
 		if err != nil {
 			return err
 		}
 		return csp.WriteProblemJSON(w, inst.Problem)
-	default:
-		return fmt.Errorf("unknown family %q (want d3c, d3s, d3s1, or bin)", *family)
+	}
+	kind, err := experiments.ParseKind(family)
+	if err != nil {
+		return fmt.Errorf("unknown family %q (want d3c, d3s, d3s1, or bin)", family)
+	}
+	if m == 0 {
+		m = int(math.Round(kind.Ratio() * float64(n)))
+	}
+	switch kind {
+	case experiments.D3C:
+		inst, err := gen.Coloring(n, m, colors, seed)
+		if err != nil {
+			return err
+		}
+		return csp.WriteCOL(w, inst.Graph,
+			fmt.Sprintf("solvable %d-coloring, n=%d m=%d seed=%d (Minton et al. method)", colors, n, m, seed))
+	case experiments.D3S:
+		inst, err := gen.ForcedSAT3(n, m, seed)
+		if err != nil {
+			return err
+		}
+		return csp.WriteCNF(w, inst.CNF,
+			fmt.Sprintf("forced satisfiable 3SAT, n=%d m=%d seed=%d (3SAT-GEN style)", n, m, seed))
+	default: // D3S1
+		inst, err := gen.UniqueSAT3(n, m, seed)
+		if err != nil {
+			return err
+		}
+		return csp.WriteCNF(w, inst.CNF,
+			fmt.Sprintf("single-solution 3SAT, n=%d m=%d seed=%d (3ONESAT-GEN style)", n, m, seed))
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"github.com/discsp/discsp"
+	"github.com/discsp/discsp/internal/cli"
 	"github.com/discsp/discsp/internal/csp"
 )
 
@@ -43,21 +44,21 @@ func main() {
 
 func run() error {
 	var (
-		connect   = flag.String("connect", "", "comma-separated hub relay addresses in shard order (required)")
-		varsArg   = flag.String("vars", "", "variables this worker owns: comma-separated values, ranges, and strided ranges lo-hi[:step] (required)")
-		algo      = flag.String("algo", "awc", "algorithm: awc, db, or abt (must match the hub's)")
-		learn     = flag.String("learn", "rslv", "AWC learning: rslv, mcs, or none")
-		k         = flag.Int("k", 0, "size bound for kthRslv learning; 0 = unrestricted")
-		colors    = flag.Int("colors", 3, "colors for .col inputs")
-		seed      = flag.Int64("seed", 1, "seed for random initial values (must match the hub's)")
-		retention = flag.String("retention", "all", "nogood-store retention policy: all, lru:<cap>, or activity:<cap>")
-		wireCRC   = flag.Bool("wire-crc", false, "request the CRC32C frame trailer on this worker's connections (effective only when the hub armed -wire-crc too)")
-		drainWin  = flag.Duration("drain-window", 0, "how long a node with a failed write drains inbound frames for the hub's stop before reporting a hub death; 0 = 1s default (raise on slow links)")
-		connTO    = flag.Duration("connect-timeout", 0, "how long each node keeps retrying its dial — at startup before the hub listens, and when redialing after a severed connection; 0 = 15s default")
-		heartbeat = flag.Duration("heartbeat", 0, "idle-link liveness beacon period, matching the hub's; 0 = 500ms default, negative disables")
-		deadPeer  = flag.Duration("dead-peer", 0, "hub silence after which a node abandons its connection and redials; 0 = 4x the heartbeat period")
-		causalOn  = flag.Bool("causal", false, "trace this worker's nodes (trace IDs cross the hub whether or not it traces); needs -trace-out")
-		causalOut = flag.String("trace-out", "", "write this worker's causal trace stream to this file")
+		solver  cli.Solver
+		streams cli.Streams
+		opts    discsp.Options
+	)
+	solver.Register(flag.CommandLine)
+	cli.RegisterTransport(flag.CommandLine, &opts.TCPTransport)
+	// Causal tracing is per-process: this worker's spans and stamped trace
+	// IDs go to its own stream file, self-consistent on its own (message
+	// edges into sibling workers resolve in their streams).
+	streams.RegisterTrace(flag.CommandLine)
+	var (
+		connect  = flag.String("connect", "", "comma-separated hub relay addresses in shard order (required)")
+		varsArg  = flag.String("vars", "", "variables this worker owns: comma-separated values, ranges, and strided ranges lo-hi[:step] (required)")
+		drainWin = flag.Duration("drain-window", 0, "how long a node with a failed write drains inbound frames for the hub's stop before reporting a hub death; 0 = 1s default (raise on slow links)")
+		connTO   = flag.Duration("connect-timeout", 0, "how long each node keeps retrying its dial — at startup before the hub listens, and when redialing after a severed connection; 0 = 15s default")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -74,48 +75,28 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if err := solver.Apply(&opts); err != nil {
+		return err
+	}
+	if err := streams.Check(); err != nil {
+		return err
+	}
 
-	problem, err := csp.LoadFile(flag.Arg(0), *colors)
+	problem, err := csp.LoadFile(flag.Arg(0), solver.Colors)
 	if err != nil {
 		return err
 	}
-
-	opts := discsp.Options{
-		InitialSeed:       *seed,
-		LearningSizeBound: *k,
-		TCPTransport:      discsp.TCPTransport{Checksum: *wireCRC, Heartbeat: *heartbeat, DeadPeerTimeout: *deadPeer},
+	// The worker refuses the same, but only after -trace-out has created
+	// its file. parseVars sorted vars.
+	if vars[0] < 0 || vars[len(vars)-1] >= problem.NumVars() {
+		return fmt.Errorf("-vars names variables outside [0,%d)", problem.NumVars())
 	}
-	if opts.Algorithm, err = discsp.ParseAlgorithm(*algo); err != nil {
-		return err
-	}
-	if opts.Learning, err = discsp.ParseLearning(*learn); err != nil {
-		return err
-	}
-	ret, err := discsp.ParseRetention(*retention)
+	outs, err := cli.Open("dcspnode", &streams, &cli.Profiles{})
 	if err != nil {
 		return err
 	}
-	opts.Retention = ret
-
-	// Causal tracing is per-process: this worker's spans and stamped trace
-	// IDs go to its own stream file, self-consistent on its own (message
-	// edges into sibling workers resolve in their streams).
-	if *causalOn != (*causalOut != "") {
-		return fmt.Errorf("-causal and -trace-out go together")
-	}
-	if *causalOn {
-		f, err := os.Create(*causalOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		opts.Causal = discsp.NewTelemetry(nil, f)
-		defer func() {
-			if err := opts.Causal.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "dcspnode: causal trace stream:", err)
-			}
-		}()
-	}
+	defer outs.Close()
+	opts.Causal = outs.Causal
 
 	fmt.Fprintf(os.Stderr, "dcspnode: %d nodes (%s) dialing %d relays\n",
 		len(vars), *varsArg, len(addrs))

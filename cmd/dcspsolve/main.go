@@ -30,17 +30,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/discsp/discsp"
 	"github.com/discsp/discsp/internal/central"
+	"github.com/discsp/discsp/internal/cli"
 	"github.com/discsp/discsp/internal/csp"
 	"github.com/discsp/discsp/internal/experiments"
 	"github.com/discsp/discsp/internal/faults"
@@ -57,22 +54,26 @@ func main() {
 
 func run() error {
 	var (
-		algo      = flag.String("algo", "awc", "algorithm: awc, db, abt, central, or wcs")
-		learn     = flag.String("learn", "rslv", "AWC learning: rslv, mcs, or none")
-		k         = flag.Int("k", 0, "size bound for kthRslv learning; 0 = unrestricted")
-		colors    = flag.Int("colors", 3, "colors for .col inputs")
-		seed      = flag.Int64("seed", 1, "seed for random initial values")
-		maxCycles = flag.Int("maxcycles", 0, "cycle cutoff; 0 = 10000")
+		solver   cli.Solver
+		streams  cli.Streams
+		profiles cli.Profiles
+		opts     discsp.Options
+	)
+	solver.Register(flag.CommandLine)
+	cli.RegisterTransport(flag.CommandLine, &opts.TCPTransport)
+	streams.Register(flag.CommandLine, true)
+	profiles.Register(flag.CommandLine)
+	flag.DurationVar(&streams.Hold, "metrics-hold", 0, "keep the -metrics-addr endpoint up this long after the run finishes (for scrapers)")
+	flag.IntVar(&opts.MaxCycles, "maxcycles", 0, "cycle cutoff; 0 = 10000")
+	flag.DurationVar(&opts.Timeout, "timeout", 0, "async wall-clock limit; 0 = 30s")
+	flag.IntVar(&opts.TCPShards, "shards", 0, "split the -tcp hub across N relay listeners; 0 = one")
+	flag.DurationVar(&opts.TCPReconnectGrace, "reconnect-grace", 0, "how long the -tcp hub parks a dead node's frames awaiting its reconnection before failing the run; 0 = 3s default, negative fails immediately")
+	flag.BoolVar(&opts.TCPExternal, "tcp-external", false, "-tcp hub only: agents live in external dcspnode workers")
+	flag.DurationVar(&opts.WatchdogCadence, "watchdog-cadence", 0, "stall-watchdog sampling period for -async/-tcp; 0 = 25ms")
+	var (
 		useAsync  = flag.Bool("async", false, "run on the asynchronous goroutine runtime")
 		useTCP    = flag.Bool("tcp", false, "run over a loopback TCP hub (one socket per agent)")
-		shards    = flag.Int("shards", 0, "split the -tcp hub across N relay listeners; 0 = one")
-		wireCRC   = flag.Bool("wire-crc", false, "arm the CRC32C frame trailer on -tcp connections (workers opt in with dcspnode -wire-crc)")
-		heartbeat = flag.Duration("heartbeat", 0, "-tcp liveness beacon period on every hub-node link; 0 = 500ms default, negative disables")
-		deadPeer  = flag.Duration("dead-peer", 0, "-tcp silence after which the hub declares a node dead; 0 = 4x the heartbeat period")
-		reconGr   = flag.Duration("reconnect-grace", 0, "how long the -tcp hub parks a dead node's frames awaiting its reconnection before failing the run; 0 = 3s default, negative fails immediately")
 		tcpListen = flag.String("tcp-listen", "", "bind the -tcp relays to these comma-separated host:port addresses (implies the shard count)")
-		tcpExt    = flag.Bool("tcp-external", false, "-tcp hub only: agents live in external dcspnode workers")
-		timeout   = flag.Duration("timeout", 0, "async wall-clock limit; 0 = 30s")
 		trials    = flag.Int("trials", 1, "random-initial-value trials (seed, seed+1, ...); >1 prints cell-style aggregates")
 		workers   = flag.Int("workers", 0, "concurrent trial workers for -trials; 0 = all CPUs, 1 = serial")
 		verbose   = flag.Bool("v", false, "print the solution assignment")
@@ -81,18 +82,7 @@ func run() error {
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 		journal   = flag.String("journal", "", "append each completed trial of a -trials run to this JSONL journal")
 		resume    = flag.Bool("resume", false, "replay trials already in -journal instead of recomputing them")
-		retention = flag.String("retention", "all", "nogood-store retention policy: all, lru:<cap>, or activity:<cap> (cap bounds learned nogoods per agent)")
-		warmCache = flag.String("warm-cache", "", "persistent warm-start nogood cache file: seed AWC from it before solving, harvest survivors into it after (sync runs)")
-
-		causalOn  = flag.Bool("causal", false, "attach the causal-tracing layer: deterministic trace IDs on every message, one span per agent activation, nogood lineage (read the stream with dcsptrace)")
-		causalOut = flag.String("trace-out", "", "write the causal trace stream to this file (default: interleave spans with the -telemetry stream)")
-
-		telemetryOut = flag.String("telemetry", "", "write the telemetry JSONL stream (one cycle event per synchronous cycle; read it with dcsptrace) to this file")
-		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /metrics.json, /debug/vars, and /debug/pprof on this address (e.g. :9090, or :0 for an ephemeral port)")
-		metricsHold  = flag.Duration("metrics-hold", 0, "keep the -metrics-addr endpoint up this long after the run finishes (for scrapers)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		watchdog     = flag.Duration("watchdog-cadence", 0, "stall-watchdog sampling period for -async/-tcp; 0 = 25ms")
+		warmCache = flag.String("warm-cache", "", "persistent warm-start nogood cache file: seed AWC from it before solving, harvest survivors into it after (single sync runs)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -100,46 +90,30 @@ func run() error {
 	}
 	// Refused before any output file exists, so the refusal leaves none
 	// behind; SolveTCP refuses the same pair for library callers.
-	if *causalOn && *tcpExt {
+	if streams.Causal && opts.TCPExternal {
 		return fmt.Errorf("-causal with -tcp-external records no spans: the agents run in the workers, so trace them with dcspnode -causal")
 	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpu profile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			if err := writeMemProfile(*memprofile); err != nil {
-				fmt.Fprintln(os.Stderr, "dcspsolve: heap profile:", err)
-			}
-		}()
-	}
-
-	problem, err := csp.LoadFile(flag.Arg(0), *colors)
+	problem, err := csp.LoadFile(flag.Arg(0), solver.Colors)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("problem: %d variables, %d nogoods\n", problem.NumVars(), problem.NumNogoods())
 
-	if *algo == "central" {
-		startedAt := time.Now()
-		sol, ok := central.New(problem).Solve()
-		fmt.Printf("central: solved=%v in %v\n", ok, time.Since(startedAt))
-		if ok && *verbose {
-			printAssignment(sol)
+	if solver.Algo == "central" || solver.Algo == "wcs" {
+		outs, err := cli.Open("dcspsolve", &cli.Streams{}, &profiles)
+		if err != nil {
+			return err
 		}
-		return nil
-	}
-	if *algo == "wcs" {
+		defer outs.Close()
 		startedAt := time.Now()
+		if solver.Algo == "central" {
+			sol, ok := central.New(problem).Solve()
+			fmt.Printf("central: solved=%v in %v\n", ok, time.Since(startedAt))
+			if ok && *verbose {
+				printAssignment(sol)
+			}
+			return nil
+		}
 		res := central.WeakCommitment(problem, nil, central.WCSOptions{})
 		fmt.Printf("wcs: solved=%v insoluble=%v restarts=%d nogoods=%d checks=%d in %v\n",
 			res.Solved, res.Insoluble, res.Restarts, res.NogoodsRecorded, res.Checks, time.Since(startedAt))
@@ -149,24 +123,13 @@ func run() error {
 		return nil
 	}
 
-	opts := discsp.Options{
-		InitialSeed:       *seed,
-		MaxCycles:         *maxCycles,
-		Timeout:           *timeout,
-		LearningSizeBound: *k,
-	}
-	if opts.Algorithm, err = discsp.ParseAlgorithm(*algo); err != nil {
+	// Every check runs before an output opens, so a refusal leaves no file.
+	if err := streams.Check(); err != nil {
 		return err
 	}
-	if opts.Learning, err = discsp.ParseLearning(*learn); err != nil {
+	if err := solver.Apply(&opts); err != nil {
 		return err
 	}
-	ret, err := discsp.ParseRetention(*retention)
-	if err != nil {
-		return err
-	}
-	opts.Retention = ret
-	var cache *discsp.NogoodCache
 	if *warmCache != "" {
 		if opts.Algorithm != discsp.AWC {
 			return fmt.Errorf("-warm-cache applies to AWC only")
@@ -174,22 +137,18 @@ func run() error {
 		if *useAsync || *useTCP {
 			return fmt.Errorf("-warm-cache needs the synchronous runtime (harvesting is sync-only)")
 		}
-		cache, err = discsp.LoadNogoodCache(*warmCache)
-		if err != nil {
-			return err
+		// Concurrent trials would seed from and harvest into one cache in
+		// whatever order they finish (dcspbench -warmstart measures reuse).
+		if *trials > 1 {
+			return fmt.Errorf("-warm-cache seeds a single run; drop -trials or set it to 1")
 		}
-		opts.WarmCache = cache
-		fmt.Fprintf(os.Stderr, "dcspsolve: warm cache %s holds %d nogoods\n", *warmCache, cache.Len())
-		defer func() {
-			if err := cache.Save(*warmCache); err != nil {
-				fmt.Fprintln(os.Stderr, "dcspsolve: warm cache save:", err)
-			}
-		}()
 	}
-
 	if *faultsArg != "" {
 		if !*useAsync && !*useTCP {
 			return fmt.Errorf("-faults needs a network runtime (-async or -tcp); the synchronous simulator has no network to break")
+		}
+		if _, err := faults.ParseProfile(*faultsArg, *faultSeed); err != nil {
+			return err
 		}
 		opts.FaultProfile = *faultsArg
 		opts.FaultSeed = *faultSeed
@@ -197,146 +156,94 @@ func run() error {
 	if *resume && *journal == "" {
 		return fmt.Errorf("-resume needs -journal")
 	}
-	if (*shards != 0 || *tcpListen != "" || *tcpExt) && !*useTCP {
+	if (opts.TCPShards != 0 || *tcpListen != "" || opts.TCPExternal) && !*useTCP {
 		return fmt.Errorf("-shards, -tcp-listen, and -tcp-external need -tcp")
 	}
-	opts.TCPShards = *shards
-	opts.TCPTransport = discsp.TCPTransport{Checksum: *wireCRC, Heartbeat: *heartbeat, DeadPeerTimeout: *deadPeer}
-	opts.TCPReconnectGrace = *reconGr
-	opts.TCPExternal = *tcpExt
 	if *tcpListen != "" {
 		opts.TCPListen = strings.Split(*tcpListen, ",")
 	}
-	if *tcpExt {
+	if opts.TCPExternal {
 		opts.TCPOnListen = func(addrs []string) {
 			fmt.Fprintf(os.Stderr, "dcspsolve: relays listening on %s; waiting for dcspnode workers\n",
 				strings.Join(addrs, ","))
 		}
 	}
-	opts.WatchdogCadence = *watchdog
-
-	// Telemetry: one registry backs both the optional JSONL stream and the
-	// optional live metrics endpoint; attaching either never changes run
-	// results (the layer is observationally inert). The -block path takes
-	// no Options, so there it would record nothing past the schema event.
-	if *block > 1 && (*telemetryOut != "" || *metricsAddr != "") {
+	// The -block path takes no Options, so a stream would record nothing
+	// past the schema event.
+	if *block > 1 && (streams.Telemetry != "" || streams.MetricsAddr != "") {
 		return fmt.Errorf("-telemetry and -metrics-addr do not support the -block multi-variable path")
 	}
-	var tel *discsp.Telemetry
-	if *telemetryOut != "" || *metricsAddr != "" {
-		reg := discsp.NewMetricsRegistry()
-		var stream io.Writer
-		if *telemetryOut != "" {
-			f, err := os.Create(*telemetryOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			stream = f
+	// A trace stream holds exactly one run (trace IDs are unique per run).
+	if streams.Causal && *trials > 1 {
+		return fmt.Errorf("-causal traces a single run; drop -trials or set it to 1")
+	}
+	if streams.Causal && *block > 1 {
+		return fmt.Errorf("-causal does not support the -block multi-variable path")
+	}
+	if *trials > 1 && (*useAsync || *useTCP || *block > 1) {
+		return fmt.Errorf("-trials needs the default synchronous single-variable path (no -async, -tcp, -block)")
+	}
+	if *journal != "" && *trials <= 1 {
+		return fmt.Errorf("-journal needs -trials > 1 (a single run has nothing to resume)")
+	}
+
+	if *warmCache != "" {
+		if opts.WarmCache, err = discsp.LoadNogoodCache(*warmCache); err != nil {
+			return err
 		}
-		tel = discsp.NewTelemetry(reg, stream)
-		if *metricsAddr != "" {
-			srv, err := discsp.ServeMetrics(*metricsAddr, reg)
-			if err != nil {
-				return err
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "dcspsolve: serving metrics at http://%s/metrics\n", srv.Addr)
-			if *metricsHold > 0 {
-				defer time.Sleep(*metricsHold)
-			}
+		fmt.Fprintf(os.Stderr, "dcspsolve: warm cache %s holds %d nogoods\n", *warmCache, opts.WarmCache.Len())
+	}
+	var j *experiments.Journal
+	if *journal != "" {
+		j, err = experiments.OpenJournal(*journal, experiments.JournalMeta{SeedBase: solver.Seed, MaxCycles: opts.MaxCycles}, *resume)
+		if err != nil {
+			return err
 		}
+		defer j.Close()
+		if *resume {
+			fmt.Fprintf(os.Stderr, "dcspsolve: resuming from %s (%d trials journaled)\n", *journal, j.Recovered())
+		}
+	}
+	outs, err := cli.Open("dcspsolve", &streams, &profiles)
+	if err != nil {
+		return err
+	}
+	defer outs.Close()
+	if cache := opts.WarmCache; cache != nil {
 		defer func() {
-			if err := tel.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "dcspsolve: telemetry stream:", err)
+			if err := cache.Save(*warmCache); err != nil {
+				fmt.Fprintln(os.Stderr, "dcspsolve: warm cache save:", err)
 			}
 		}()
 	}
 
-	// Causal tracing: the span stream goes to its own -trace-out file, or
-	// interleaves with the -telemetry stream. A trace stream holds exactly
-	// one run (trace IDs are unique per run), so -trials > 1 is rejected.
-	if *causalOut != "" && !*causalOn {
-		return fmt.Errorf("-trace-out needs -causal")
-	}
-	if *causalOn {
-		if *trials > 1 {
-			return fmt.Errorf("-causal traces a single run; drop -trials or set it to 1")
-		}
-		if *block > 1 {
-			return fmt.Errorf("-causal does not support the -block multi-variable path")
-		}
-		switch {
-		case *causalOut != "":
-			f, err := os.Create(*causalOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			ct := discsp.NewTelemetry(nil, f)
-			defer func() {
-				if err := ct.Flush(); err != nil {
-					fmt.Fprintln(os.Stderr, "dcspsolve: causal trace stream:", err)
-				}
-			}()
-			opts.Causal = ct
-		case tel != nil:
-			opts.Causal = tel
-		default:
-			return fmt.Errorf("-causal needs -trace-out FILE (or -telemetry FILE) to receive the span stream")
-		}
-	}
-
 	if *trials > 1 {
-		if *useAsync || *useTCP || *block > 1 {
-			return fmt.Errorf("-trials needs the default synchronous single-variable path (no -async, -tcp, -block)")
-		}
-		var j *experiments.Journal
-		if *journal != "" {
-			meta := experiments.JournalMeta{SeedBase: *seed, MaxCycles: *maxCycles}
-			var err error
-			j, err = experiments.OpenJournal(*journal, meta, *resume)
-			if err != nil {
-				return err
-			}
-			defer j.Close()
-			if *resume {
-				fmt.Fprintf(os.Stderr, "dcspsolve: resuming from %s (%d trials journaled)\n", *journal, j.Recovered())
-			}
-		}
 		// A bounded retention policy is part of the configuration a journal
 		// key binds, so resumed runs never mix policies; the unbounded
 		// default keeps the legacy key format.
-		learnLabel := *learn + ret.Suffix()
-		return runTrials(problem, opts, *trials, *workers, *verbose, j, learnLabel, tel)
+		scale := experiments.Scale{Workers: *workers, Progress: experiments.ProgressPrinter(os.Stderr, 2*time.Second), Journal: j}
+		return runTrials(problem, opts, *trials, scale, *verbose, solver.Learn+opts.Retention.Suffix(), outs.Telemetry)
 	}
-	if *journal != "" {
-		return fmt.Errorf("-journal needs -trials > 1 (a single run has nothing to resume)")
-	}
-	opts.Telemetry = tel
+	opts.Telemetry = outs.Telemetry
+	opts.Causal = outs.Causal
 
 	var res discsp.Result
 	switch {
-	case *useTCP:
-		res, err = discsp.SolveTCP(problem, opts)
-		if err != nil {
+	case *useTCP || *useAsync:
+		solve, runtime := discsp.SolveAsync, "async"
+		if *useTCP {
+			solve, runtime = discsp.SolveTCP, "tcp"
+		}
+		if res, err = solve(problem, opts); err != nil {
 			return err
 		}
-		fmt.Printf("%s (tcp): solved=%v insoluble=%v messages=%d checks=%d duration=%v%s\n",
-			opts.Algorithm, res.Solved, res.Insoluble, res.Messages, res.TotalChecks,
-			res.Duration, res.TransportCounters.Suffix())
-	case *useAsync:
-		res, err = discsp.SolveAsync(problem, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s (async): solved=%v insoluble=%v messages=%d checks=%d duration=%v%s\n",
-			opts.Algorithm, res.Solved, res.Insoluble, res.Messages, res.TotalChecks, res.Duration, res.TransportCounters.Suffix())
+		fmt.Printf("%s (%s): solved=%v insoluble=%v messages=%d checks=%d duration=%v%s\n",
+			opts.Algorithm, runtime, res.Solved, res.Insoluble, res.Messages, res.TotalChecks, res.Duration, res.TransportCounters.Suffix())
 	case *block > 1:
 		res, err = discsp.SolvePartitioned(problem, discsp.UniformPartition(problem.NumVars(), *block), discsp.PartitionedOptions{
-			LearningSizeBound: *k,
-			InitialSeed:       *seed,
-			MaxCycles:         *maxCycles,
+			LearningSizeBound: solver.K,
+			InitialSeed:       solver.Seed,
+			MaxCycles:         opts.MaxCycles,
 		})
 		if err != nil {
 			return err
@@ -367,29 +274,15 @@ func run() error {
 	return nil
 }
 
-// writeMemProfile snapshots the heap (after a GC, so the profile reflects
-// live objects) into path.
-func writeMemProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	runtime.GC()
-	return pprof.WriteHeapProfile(f)
-}
-
 // runTrials solves the instance from `trials` different random initial
-// assignments (seeds seed, seed+1, ...), fanned across the worker pool,
-// and prints per-trial lines plus the experiment harness's cell-style
-// aggregates. Results are index-addressed, so the output is identical for
-// every worker count; a progress line goes to stderr every ~2s.
-//
-// With a journal, each completed trial is durably appended under a key
-// binding the algorithm configuration and seed; on -resume, journaled
-// trials are replayed into the same slots, so the aggregate line cannot
-// depend on where the previous run died.
-func runTrials(problem *discsp.Problem, opts discsp.Options, trials, workers int, verbose bool, j *experiments.Journal, learn string, tel *discsp.Telemetry) error {
+// assignments (seeds seed, seed+1, ...) on the harness's trial loop and
+// prints per-trial lines plus the experiment harness's cell-style
+// aggregates, identical for every worker count. With a journal, each
+// completed trial is durably appended under a key binding the algorithm
+// configuration and seed; on -resume, journaled trials are replayed into
+// the same slots, so the aggregate line cannot depend on where the
+// previous run died.
+func runTrials(problem *discsp.Problem, opts discsp.Options, trials int, scale experiments.Scale, verbose bool, learn string, tel *discsp.Telemetry) error {
 	// Trials run concurrently, so the workers share only the (atomic)
 	// metrics registry; the JSONL stream is written here, one trial event
 	// per slot in index order, so it is identical for every worker count.
@@ -405,40 +298,18 @@ func runTrials(problem *discsp.Problem, opts discsp.Options, trials, workers int
 		})
 	}
 	results := make([]discsp.Result, trials)
-	progress := experiments.ProgressPrinter(os.Stderr, 2*time.Second)
 	trialKey := func(i int) string {
 		return fmt.Sprintf("trial/%s/%s/k%d/seed%d", opts.Algorithm, learn, opts.LearningSizeBound, opts.InitialSeed+int64(i))
 	}
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	err := experiments.ForEach(workers, trials, func(i int) error {
-		tick := func() {
-			mu.Lock()
-			done++
-			progress(done, trials)
-			mu.Unlock()
-		}
-		if j != nil && j.Lookup(trialKey(i), &results[i]) {
-			tick()
-			return nil
-		}
+	err := experiments.RunTrials(scale, results, trialKey, func(i int) (discsp.Result, error) {
 		o := opts
 		o.InitialSeed = opts.InitialSeed + int64(i)
 		o.Telemetry = regOnly
 		res, err := discsp.Solve(problem, o)
 		if err != nil {
-			return fmt.Errorf("trial %d (seed %d): %w", i, o.InitialSeed, err)
+			return res, fmt.Errorf("trial %d (seed %d): %w", i, o.InitialSeed, err)
 		}
-		results[i] = res
-		if j != nil {
-			if err := j.Record(trialKey(i), res); err != nil {
-				return err
-			}
-		}
-		tick()
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return err

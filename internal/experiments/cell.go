@@ -75,7 +75,7 @@ type Scale struct {
 	// Workers is the number of goroutines trials are fanned across; 0
 	// means runtime.NumCPU(), 1 preserves the serial execution path.
 	// Trials are independently seeded, so every Workers value produces
-	// bit-identical aggregates (see runCells).
+	// bit-identical aggregates (see RunTrials).
 	Workers int
 	// Progress, when non-nil, is called (serialized) after each completed
 	// trial of the current grid with the running and total trial counts;

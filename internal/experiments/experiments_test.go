@@ -528,3 +528,27 @@ func TestCompareRuntimesWithFaults(t *testing.T) {
 		t.Errorf("markdown runtimes table malformed:\n%s", sb.String())
 	}
 }
+
+func TestParseKind(t *testing.T) {
+	tests := []struct {
+		in      string
+		want    ProblemKind
+		wantErr bool
+	}{
+		{"d3c", D3C, false},
+		{"d3s", D3S, false},
+		{"d3s1", D3S1, false},
+		{"nope", 0, true},
+		{"", 0, true},
+	}
+	for _, tt := range tests {
+		got, err := ParseKind(tt.in)
+		if (err != nil) != tt.wantErr {
+			t.Errorf("ParseKind(%q) err = %v, wantErr %v", tt.in, err, tt.wantErr)
+			continue
+		}
+		if err == nil && got != tt.want {
+			t.Errorf("ParseKind(%q) = %v, want %v", tt.in, got, tt.want)
+		}
+	}
+}

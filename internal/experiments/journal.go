@@ -79,37 +79,45 @@ type Journal struct {
 }
 
 // OpenJournal opens (or creates) the trial journal at path. With resume
-// false the file must be absent or empty; with resume true an existing
-// journal is loaded — its header meta must equal meta, and a truncated
-// final line (a mid-write crash) is dropped by truncating the file back to
-// the last intact entry.
+// false the file must be absent, empty, or hold only a journal header (a
+// run that died before its first trial: nothing to replay), and it is
+// rewritten with meta; with resume true an existing journal is loaded —
+// its header meta must equal meta, and a truncated final line (a
+// mid-write crash) is dropped by truncating the file back to the last
+// intact entry.
 func OpenJournal(path string, meta JournalMeta, resume bool) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: open journal: %w", err)
 	}
 	j := &Journal{f: f, entries: make(map[string]json.RawMessage)}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("experiments: stat journal: %w", err)
-	}
-	if st.Size() == 0 {
-		if err := j.writeHeader(meta); err != nil {
-			f.Close()
-			return nil, err
-		}
-		return j, nil
-	}
-	if !resume {
-		f.Close()
-		return nil, fmt.Errorf("%w: %s", ErrJournalExists, path)
-	}
-	if err := j.load(meta); err != nil {
+	if err := j.open(meta, resume); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return j, nil
+}
+
+func (j *Journal) open(meta JournalMeta, resume bool) error {
+	data, err := io.ReadAll(j.f)
+	if err != nil {
+		return fmt.Errorf("experiments: read journal: %w", err)
+	}
+	if resume && len(data) > 0 {
+		return j.load(meta, data)
+	}
+	if len(data) > 0 {
+		if _, off, err := j.header(data); err != nil || off < len(data) {
+			return fmt.Errorf("%w: %s", ErrJournalExists, j.f.Name())
+		}
+		if err := j.f.Truncate(0); err != nil {
+			return fmt.Errorf("experiments: truncate journal: %w", err)
+		}
+		if _, err := j.f.Seek(0, 0); err != nil {
+			return err
+		}
+	}
+	return j.writeHeader(meta)
 }
 
 func (j *Journal) writeHeader(meta JournalMeta) error {
@@ -120,35 +128,37 @@ func (j *Journal) writeHeader(meta JournalMeta) error {
 	return j.append(b)
 }
 
-// load replays an existing journal, tracking byte offsets explicitly so
-// the truncation point after a torn tail is exact. A trailing partial or
-// corrupt line — the signature of a crash mid-append — is cut off so the
-// next Record continues a well-formed file; corruption *followed by more
-// data* is not a crash artifact and is refused.
-func (j *Journal) load(meta JournalMeta) error {
-	if _, err := j.f.Seek(0, 0); err != nil {
-		return err
-	}
-	data, err := io.ReadAll(j.f)
-	if err != nil {
-		return fmt.Errorf("experiments: read journal: %w", err)
-	}
+// header parses the journal header that opens data and returns the offset
+// just past its line.
+func (j *Journal) header(data []byte) (journalHeader, int, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return fmt.Errorf("experiments: %s is not a trial journal (no complete header line)", j.f.Name())
+		return journalHeader{}, 0, fmt.Errorf("experiments: %s is not a trial journal (no complete header line)", j.f.Name())
 	}
 	var h journalHeader
 	if err := json.Unmarshal(data[:nl], &h); err != nil || h.Journal != journalMagic {
-		return fmt.Errorf("experiments: %s is not a trial journal", j.f.Name())
+		return journalHeader{}, 0, fmt.Errorf("experiments: %s is not a trial journal", j.f.Name())
 	}
 	if h.Version != journalVersion {
-		return fmt.Errorf("experiments: journal version %d, this binary writes %d", h.Version, journalVersion)
+		return journalHeader{}, 0, fmt.Errorf("experiments: journal version %d, this binary writes %d", h.Version, journalVersion)
+	}
+	return h, nl + 1, nil
+}
+
+// load replays an existing journal's data, tracking byte offsets explicitly
+// so the truncation point after a torn tail is exact. A trailing partial or
+// corrupt line — the signature of a crash mid-append — is cut off so the
+// next Record continues a well-formed file; corruption *followed by more
+// data* is not a crash artifact and is refused.
+func (j *Journal) load(meta JournalMeta, data []byte) error {
+	h, off, err := j.header(data)
+	if err != nil {
+		return err
 	}
 	if h.Meta != meta {
 		return fmt.Errorf("%w: journal has seed_base=%d max_cycles=%d format=%q, run has seed_base=%d max_cycles=%d format=%q",
 			ErrJournalMeta, h.Meta.SeedBase, h.Meta.MaxCycles, h.Meta.Format, meta.SeedBase, meta.MaxCycles, meta.Format)
 	}
-	off := nl + 1
 	good := off
 	for off < len(data) {
 		end := bytes.IndexByte(data[off:], '\n')

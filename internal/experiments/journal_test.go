@@ -68,6 +68,54 @@ func TestJournalRefusesExistingWithoutResume(t *testing.T) {
 	}
 }
 
+// TestJournalHeaderOnlyRewritten: a journal holding only its header (a run
+// that died before its first trial) has nothing to replay, so reopening it
+// without resume rewrites it under the new run's meta; a file holding
+// entries, or one that is not a journal, is still refused.
+func TestJournalHeaderOnlyRewritten(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trials.jsonl")
+	j, err := OpenJournal(path, JournalMeta{SeedBase: 1, MaxCycles: 100}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	fresh := filepath.Join(dir, "fresh.jsonl")
+	meta := JournalMeta{SeedBase: 2, MaxCycles: 300}
+	if j, err = OpenJournal(fresh, meta, false); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if j, err = OpenJournal(path, meta, false); err != nil {
+		t.Fatalf("reopen of a header-only journal without resume: %v", err)
+	}
+	if err := j.Record("k", 1); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, `{"k":"k","v":1}`+"\n"...); !bytes.Equal(got, want) {
+		t.Errorf("rewritten journal holds\n%s\nwant\n%s", got, want)
+	}
+	if _, err := OpenJournal(path, meta, false); !errors.Is(err, ErrJournalExists) {
+		t.Errorf("reopen of a journal with entries: %v, want ErrJournalExists", err)
+	}
+	notes := filepath.Join(dir, "notes.txt")
+	if err := os.WriteFile(notes, []byte("just some notes\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournal(notes, meta, false); !errors.Is(err, ErrJournalExists) {
+		t.Errorf("open of a file that is not a journal: %v, want ErrJournalExists", err)
+	}
+}
+
 func TestJournalMetaMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trials.jsonl")
 	j, err := OpenJournal(path, JournalMeta{SeedBase: 1, MaxCycles: 100}, false)

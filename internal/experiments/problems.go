@@ -37,6 +37,16 @@ func (k ProblemKind) String() string {
 	}
 }
 
+// ParseKind returns the family String names.
+func ParseKind(s string) (ProblemKind, error) {
+	for _, k := range []ProblemKind{D3C, D3S, D3S1} {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown family %q (want d3c, d3s, or d3s1)", s)
+}
+
 // Ratio returns the paper's constraint/variable ratio for the family.
 func (k ProblemKind) Ratio() float64 {
 	switch k {

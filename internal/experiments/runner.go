@@ -77,35 +77,39 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	return firstErr
 }
 
-// Runner executes one trial grid (the cells of a table, sweep, or figure)
-// across a pool of worker goroutines. Trials are independently seeded, so
-// the pool only changes *when* a trial runs, never its outcome; results
-// land in index-addressed slices and are aggregated in index order, making
-// every mean and percentage bit-identical to the Workers==1 serial run.
-type Runner struct {
-	// Workers is the pool size; 0 means runtime.NumCPU(), 1 is serial.
-	Workers int
-	// Progress, when non-nil, is called after every completed trial with
-	// the running count and the grid total. Calls are serialized.
-	Progress func(done, total int)
-
-	total int
-	done  atomic.Int64
-	mu    sync.Mutex
-}
-
-func newRunner(scale Scale) *Runner {
-	return &Runner{Workers: scale.Workers, Progress: scale.Progress}
-}
-
-func (r *Runner) tick() {
-	if r.Progress == nil {
-		return
-	}
-	done := int(r.done.Add(1))
-	r.mu.Lock()
-	r.Progress(done, r.total)
-	r.mu.Unlock()
+// RunTrials runs trial(i) for every slot i across scale's worker pool into
+// slots[i]. Trials are independently seeded and slots index-addressed, so
+// their contents depend on neither the worker count nor, with
+// scale.Journal set, on which trials are replayed from the journal under
+// key(i) rather than run and journaled. scale.Progress, when set, is called
+// after every finished trial, one call at a time.
+func RunTrials[T any](scale Scale, slots []T, key func(i int) string, trial func(i int) (T, error)) error {
+	journal := scale.Journal
+	var (
+		mu   sync.Mutex
+		done int
+	)
+	return ForEach(scale.Workers, len(slots), func(i int) error {
+		if journal == nil || !journal.Lookup(key(i), &slots[i]) {
+			res, err := trial(i)
+			if err != nil {
+				return err
+			}
+			slots[i] = res
+			if journal != nil {
+				if err := journal.Record(key(i), res); err != nil {
+					return err
+				}
+			}
+		}
+		if scale.Progress != nil {
+			mu.Lock()
+			done++
+			scale.Progress(done, len(slots))
+			mu.Unlock()
+		}
+		return nil
+	})
 }
 
 // cellSpec is one cell of a trial grid: a family × size × algorithm plus
@@ -176,32 +180,25 @@ func applyRetention(specs []cellSpec, scale Scale) []cellSpec {
 // (instance, init) order: the identical floating-point accumulation the
 // old serial loops performed, so aggregates do not depend on scheduling.
 //
-// With scale.Journal set, trials already journaled are replayed from the
-// journal instead of re-run (and instances all of whose trials are
-// journaled are never even generated); fresh trials are journaled as they
-// complete. Replayed and live trials land in the same index-addressed
-// slots, so the aggregates of a resumed grid are bit-identical to an
-// uninterrupted run's.
+// With scale.Journal set, RunTrials replays the journaled trials, so the
+// aggregates of a resumed grid are bit-identical to an uninterrupted run's,
+// and an instance all of whose trials are journaled is never generated.
 func runCells(specs []cellSpec, scale Scale) ([]CellResult, error) {
 	specs = applyRetention(specs, scale)
 	maxCycles := scale.maxCycles()
 	journal := scale.Journal
 	type cellPlan struct {
-		instances, inits int
-		problems         []*csp.Problem
-		trials           []TrialResult
+		// first indexes the cell's first trial; its (instance, init) trial
+		// sits at first + instance*inits + init.
+		first, inits int
+		problems     []*csp.Problem
 	}
 	type job struct{ cell, instance, init int }
 	plans := make([]cellPlan, len(specs))
 	var instJobs, trialJobs []job
 	for c, spec := range specs {
 		instances, inits := scale.trials(spec.kind)
-		plans[c] = cellPlan{
-			instances: instances,
-			inits:     inits,
-			problems:  make([]*csp.Problem, instances),
-			trials:    make([]TrialResult, instances*inits),
-		}
+		plans[c] = cellPlan{first: len(trialJobs), inits: inits, problems: make([]*csp.Problem, instances)}
 		for i := 0; i < instances; i++ {
 			needProblem := journal == nil
 			for j := 0; j < inits; j++ {
@@ -216,10 +213,7 @@ func runCells(specs []cellSpec, scale Scale) ([]CellResult, error) {
 		}
 	}
 
-	r := newRunner(scale)
-	r.total = len(trialJobs)
-
-	if err := ForEach(r.Workers, len(instJobs), func(k int) error {
+	if err := ForEach(scale.Workers, len(instJobs), func(k int) error {
 		j := instJobs[k]
 		spec := specs[j.cell]
 		problem, err := spec.makeProblem(scale, j.instance)
@@ -232,28 +226,20 @@ func runCells(specs []cellSpec, scale Scale) ([]CellResult, error) {
 		return nil, err
 	}
 
-	if err := ForEach(r.Workers, len(trialJobs), func(k int) error {
+	trials := make([]TrialResult, len(trialJobs))
+	if err := RunTrials(scale, trials, func(k int) string {
 		j := trialJobs[k]
-		spec, plan := specs[j.cell], &plans[j.cell]
-		slot := &plan.trials[j.instance*plan.inits+j.init]
-		if journal != nil && journal.Lookup(spec.trialKey(j.instance, j.init), slot) {
-			r.tick()
-			return nil
-		}
-		problem := plan.problems[j.instance]
+		return specs[j.cell].trialKey(j.instance, j.init)
+	}, func(k int) (TrialResult, error) {
+		j := trialJobs[k]
+		spec := specs[j.cell]
+		problem := plans[j.cell].problems[j.instance]
 		init := gen.RandomInitial(problem, initSeed(scale.SeedBase, spec.kind, spec.n, j.instance, j.init))
 		tr, err := spec.alg.Run(problem, init, sim.Options{MaxCycles: maxCycles})
 		if err != nil {
-			return fmt.Errorf("cell %v n=%d instance %d init %d: %w", spec.kind, spec.n, j.instance, j.init, err)
+			return tr, fmt.Errorf("cell %v n=%d instance %d init %d: %w", spec.kind, spec.n, j.instance, j.init, err)
 		}
-		*slot = tr
-		if journal != nil {
-			if err := journal.Record(spec.trialKey(j.instance, j.init), tr); err != nil {
-				return err
-			}
-		}
-		r.tick()
-		return nil
+		return tr, nil
 	}); err != nil {
 		return nil, err
 	}
@@ -268,7 +254,8 @@ func runCells(specs []cellSpec, scale Scale) ([]CellResult, error) {
 		agg := new(cellRunner)
 		solvedCtr := reg.Counter(telemetry.Name("discsp_trials_solved_total", "cell", spec.key))
 		trialCtr := reg.Counter(telemetry.Name("discsp_trials_total", "cell", spec.key))
-		for t, tr := range plans[c].trials {
+		plan := plans[c]
+		for t, tr := range trials[plan.first : plan.first+len(plan.problems)*plan.inits] {
 			agg.add(tr)
 			trialCtr.Inc()
 			if tr.Solved {
@@ -300,7 +287,7 @@ func runCells(specs []cellSpec, scale Scale) ([]CellResult, error) {
 // ProgressPrinter returns a Scale.Progress callback that writes a
 // done/total line with an approximate trials-per-second rate to w, at most
 // once per interval. A grid that finishes inside one interval prints
-// nothing. The runner serializes Progress calls, so the returned closure
+// nothing. RunTrials serializes Progress calls, so the returned closure
 // needs no locking; the rate clock restarts whenever a new grid begins
 // (the count resets to 1).
 func ProgressPrinter(w io.Writer, interval time.Duration) func(done, total int) {

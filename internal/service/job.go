@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"time"
@@ -228,45 +229,23 @@ func (s *JobSpec) normalize(cfg *Config) (*csp.Problem, error) {
 
 // problem parses the spec's problem payload. Errors are *SpecError.
 func (s *JobSpec) problem() (*csp.Problem, error) {
+	var r io.Reader = strings.NewReader(s.Text)
 	switch s.Format {
 	case "json":
 		if len(s.Problem) == 0 {
 			return nil, specErrf("format json needs a problem object")
 		}
-		p, err := csp.ReadProblemJSON(bytes.NewReader(s.Problem))
-		if err != nil {
-			return nil, specErrf("%v", err)
-		}
-		return p, nil
-	case "cnf":
+		r = bytes.NewReader(s.Problem)
+	case "cnf", "col":
 		if s.Text == "" {
-			return nil, specErrf("format cnf needs the DIMACS text in \"text\"")
+			return nil, specErrf("format %s needs the DIMACS text in \"text\"", s.Format)
 		}
-		cnf, err := csp.ParseCNF(strings.NewReader(s.Text))
-		if err != nil {
-			return nil, specErrf("%v", err)
-		}
-		p, err := cnf.Problem()
-		if err != nil {
-			return nil, specErrf("%v", err)
-		}
-		return p, nil
-	case "col":
-		if s.Text == "" {
-			return nil, specErrf("format col needs the DIMACS text in \"text\"")
-		}
-		g, err := csp.ParseCOL(strings.NewReader(s.Text))
-		if err != nil {
-			return nil, specErrf("%v", err)
-		}
-		p, err := g.Problem(s.Colors)
-		if err != nil {
-			return nil, specErrf("%v", err)
-		}
-		return p, nil
-	default:
-		return nil, specErrf("format %q: want json, cnf, or col", s.Format)
 	}
+	p, err := csp.Load(r, s.Format, s.Colors)
+	if err != nil {
+		return nil, specErrf("%v", err)
+	}
+	return p, nil
 }
 
 // options builds the discsp.Options for one attempt. timeout bounds the
