@@ -217,13 +217,15 @@ bench-wire:
 # The CI scale-smoke job: a 1024-agent solve over 4 sharded relays with
 # the binary codec (gated behind SCALE_SMOKE because it opens ~2k real TCP
 # connections), then short coverage-guided fuzz passes over the binary
-# codec round trip, the batch splitter, and the hand-written problem JSON
-# decoder against encoding/json.
+# codec round trip, the batch splitter, the hand-written problem JSON
+# decoder against encoding/json, and the journal loader (a resumed
+# journal loads exactly its intact prefix or refuses the file).
 scale-smoke:
 	SCALE_SMOKE=1 $(GO) test -run TestScaleSmoke1k -v -timeout 10m ./internal/netrun/
 	$(GO) test -run='^$$' -fuzz=FuzzEnvelopeRoundTrip -fuzztime=10s -timeout 5m ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchSplit -fuzztime=10s -timeout 5m ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzReadProblemJSON -fuzztime=10s -timeout 5m ./internal/csp/
+	$(GO) test -run='^$$' -fuzz=FuzzJournalLoad -fuzztime=10s -timeout 5m ./internal/experiments/
 
 # The dcspd acceptance sequence against the real binary (gated behind
 # SERVICE_SMOKE because it builds, kills, and restarts daemon processes):

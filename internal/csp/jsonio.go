@@ -81,21 +81,55 @@ func ReadProblemJSON(r io.Reader) (*Problem, error) {
 }
 
 // problem builds the decoded document into a Problem and validates it. Both
-// decoders feed it, so they share every check and error text.
+// decoders feed it, so they share every check and error text. A counting
+// pass sizes what construction fills before it starts: the domains, whose
+// values share one slab, the nogood list, and the per-variable posting
+// lists, which share another. Construction then allocates only the nogoods
+// themselves.
 func (in *problemJSON) problem() (*Problem, error) {
-	p := NewProblem()
-	var vals []Value
+	n := len(in.Domains)
+	nvals := 0
+	for _, dom := range in.Domains {
+		nvals += len(dom)
+	}
+	// postings[v] bounds how many nogoods mention v: a literal repeated
+	// within one nogood is counted twice but indexed once. Literals on
+	// unknown variables are left to the construction loop to report.
+	postings := make([]int, n)
+	nlits, widest := 0, 0
+	for _, lits := range in.Nogoods {
+		widest = max(widest, len(lits))
+		for _, l := range lits {
+			if 0 <= l.Var && l.Var < n {
+				postings[l.Var]++
+				nlits++
+			}
+		}
+	}
+
+	p := &Problem{
+		domains: make([][]Value, 0, n),
+		nogoods: make([]Nogood, 0, len(in.Nogoods)),
+		byVar:   make([][]int, n),
+	}
+	vals := make([]Value, 0, nvals)
 	for v, dom := range in.Domains {
 		if len(dom) == 0 {
 			return nil, fmt.Errorf("csp: variable %d has empty domain", v)
 		}
-		vals = vals[:0]
+		start := len(vals)
 		for _, d := range dom {
 			vals = append(vals, Value(d))
 		}
-		p.AddVar(vals...)
+		p.domains = append(p.domains, vals[start:len(vals):len(vals)])
 	}
-	var cl []Lit
+	slab := make([]int, nlits)
+	for v, c := range postings {
+		if c > 0 {
+			p.byVar[v], slab = slab[:0:c], slab[c:]
+		}
+	}
+	cl := make([]Lit, 0, widest)
 	for i, lits := range in.Nogoods {
 		cl = cl[:0]
 		for _, l := range lits {

@@ -12,7 +12,14 @@
 // write); loading tolerates it by truncating the file back to the last
 // intact line. Anything malformed before that is refused — it means the
 // file is not a trial journal, and silently dropping entries would
-// silently change results.
+// silently change results. A write that fails part-way (a full disk, a
+// file-size limit) is cut off the same way at once, so the next entry
+// never lands behind a partial line.
+//
+// Memory model: the journal keeps an index, not its entries. Each key maps
+// to where its line sits in the file, and Lookup reads the line back, so a
+// long-lived journal (the dcspd job log) holds a few dozen bytes per entry
+// whatever the entries carry.
 
 package experiments
 
@@ -72,10 +79,19 @@ type journalEntry struct {
 // Journal is an append-only JSONL record of completed trials. It is safe
 // for concurrent use by the worker pool.
 type Journal struct {
-	mu        sync.Mutex
-	f         *os.File
-	entries   map[string]json.RawMessage
+	mu    sync.Mutex
+	f     *os.File
+	index map[string]entrySpan
+	// size is the end of the last intact line: where the next entry goes,
+	// and where a failed append truncates the file back to.
+	size      int64
 	recovered int
+}
+
+// entrySpan locates one entry's line in the file, newline excluded.
+type entrySpan struct {
+	off int64
+	n   int
 }
 
 // OpenJournal opens (or creates) the trial journal at path. With resume
@@ -90,7 +106,7 @@ func OpenJournal(path string, meta JournalMeta, resume bool) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: open journal: %w", err)
 	}
-	j := &Journal{f: f, entries: make(map[string]json.RawMessage)}
+	j := &Journal{f: f, index: make(map[string]entrySpan)}
 	if err := j.open(meta, resume); err != nil {
 		f.Close()
 		return nil, err
@@ -113,9 +129,6 @@ func (j *Journal) open(meta JournalMeta, resume bool) error {
 		if err := j.f.Truncate(0); err != nil {
 			return fmt.Errorf("experiments: truncate journal: %w", err)
 		}
-		if _, err := j.f.Seek(0, 0); err != nil {
-			return err
-		}
 	}
 	return j.writeHeader(meta)
 }
@@ -125,7 +138,8 @@ func (j *Journal) writeHeader(meta JournalMeta) error {
 	if err != nil {
 		return err
 	}
-	return j.append(b)
+	_, err = j.append(append(b, '\n'))
+	return err
 }
 
 // header parses the journal header that opens data and returns the offset
@@ -182,7 +196,7 @@ func (j *Journal) load(meta JournalMeta, data []byte) error {
 			// committed by Record's contract; drop it too.
 			break
 		}
-		j.entries[e.Key] = e.Value
+		j.index[e.Key] = entrySpan{off: int64(off), n: end}
 		j.recovered++
 		off += end + 1
 		good = off
@@ -190,24 +204,41 @@ func (j *Journal) load(meta JournalMeta, data []byte) error {
 	if err := j.f.Truncate(int64(good)); err != nil {
 		return fmt.Errorf("experiments: truncate journal tail: %w", err)
 	}
-	if _, err := j.f.Seek(int64(good), 0); err != nil {
-		return err
-	}
+	j.size = int64(good)
 	return nil
 }
 
-func (j *Journal) append(line []byte) error {
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("experiments: append journal: %w", err)
+// append writes line, newline included, after the last intact line and
+// syncs it, returning the offset it was written at. On failure it
+// truncates the file back to the last intact line: a partial line left
+// behind would merge with the next entry, and a later load would drop
+// that entry as a torn tail or refuse the file as corrupt mid-file.
+func (j *Journal) append(line []byte) (int64, error) {
+	off := j.size
+	if _, err := j.f.WriteAt(line, off); err != nil {
+		return 0, j.rollback(fmt.Errorf("experiments: append journal: %w", err))
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("experiments: sync journal: %w", err)
+		return 0, j.rollback(fmt.Errorf("experiments: sync journal: %w", err))
 	}
-	return nil
+	j.size += int64(len(line))
+	return off, nil
+}
+
+// rollback cuts the file back to the last intact line after a failed
+// append and returns err, joined with the truncation's own failure if any.
+// Should that truncation fail too, the next append still writes at size,
+// over the partial line.
+func (j *Journal) rollback(err error) error {
+	if terr := j.f.Truncate(j.size); terr != nil {
+		return errors.Join(err, fmt.Errorf("experiments: truncate journal after failed append: %w", terr))
+	}
+	return err
 }
 
 // Record journals one completed trial under key. The entry is durable (the
-// file is fsync'd) when Record returns.
+// file is fsync'd) when Record returns; the journal keeps only where it
+// sits in the file.
 func (j *Journal) Record(key string, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -216,45 +247,58 @@ func (j *Journal) Record(key string, v any) error {
 	line := entryLine(key, raw)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.append(line); err != nil {
+	off, err := j.append(line)
+	if err != nil {
 		return err
 	}
-	j.entries[key] = raw
+	j.index[key] = entrySpan{off: off, n: len(line) - 1}
 	return nil
 }
 
 // entryLine frames raw, json.Marshal's output for a value, as the journal
-// line {"k":key,"v":raw}: the bytes json.Marshal writes for the
-// journalEntry, without its second pass over raw, which is already compact
-// and escaped.
+// line {"k":key,"v":raw} and its newline: the bytes json.Marshal writes for
+// the journalEntry, without its second pass over raw, which is already
+// compact and escaped.
 func entryLine(key string, raw []byte) []byte {
-	// A string always encodes. The +1 leaves room for append's newline.
+	// A string always encodes.
 	k, _ := json.Marshal(key)
-	line := make([]byte, 0, len(`{"k":,"v":}`)+len(k)+len(raw)+1)
+	line := make([]byte, 0, len(`{"k":,"v":}`+"\n")+len(k)+len(raw))
 	line = append(line, `{"k":`...)
 	line = append(line, k...)
 	line = append(line, `,"v":`...)
 	line = append(line, raw...)
-	return append(line, '}')
+	return append(line, '}', '\n')
 }
 
 // Lookup unmarshals the journaled entry for key into out, reporting whether
-// one exists.
+// one exists. It reads the entry's line back from the file, so it reports
+// false once the journal is closed.
 func (j *Journal) Lookup(key string, out any) bool {
 	j.mu.Lock()
-	raw, ok := j.entries[key]
+	span, ok := j.index[key]
+	f := j.f
 	j.mu.Unlock()
-	if !ok {
+	if !ok || f == nil {
 		return false
 	}
-	return json.Unmarshal(raw, out) == nil
+	// Indexed lines are intact and never rewritten, so the read needs no
+	// lock: appends and rollbacks touch only the file past them.
+	line := make([]byte, span.n)
+	if _, err := f.ReadAt(line, span.off); err != nil {
+		return false
+	}
+	var e journalEntry
+	if json.Unmarshal(line, &e) != nil {
+		return false
+	}
+	return json.Unmarshal(e.Value, out) == nil
 }
 
 // Has reports whether key is journaled.
 func (j *Journal) Has(key string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	_, ok := j.entries[key]
+	_, ok := j.index[key]
 	return ok
 }
 
@@ -263,8 +307,8 @@ func (j *Journal) Has(key string) bool {
 // job log use it to walk everything the crashed process had accepted.
 func (j *Journal) Keys() []string {
 	j.mu.Lock()
-	keys := make([]string, 0, len(j.entries))
-	for k := range j.entries {
+	keys := make([]string, 0, len(j.index))
+	for k := range j.index {
 		keys = append(keys, k)
 	}
 	j.mu.Unlock()

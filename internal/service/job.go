@@ -217,6 +217,12 @@ func (s *JobSpec) normalize(cfg *Config) (*csp.Problem, error) {
 	}
 	// Parse the problem once here so a malformed instance is a permanent
 	// 400 at the door, never an accepted job that can only fail.
+	return s.instance(cfg)
+}
+
+// instance parses the spec's problem payload and holds it to the daemon's
+// size cap. Errors are *SpecError.
+func (s *JobSpec) instance(cfg *Config) (*csp.Problem, error) {
 	p, err := s.problem()
 	if err != nil {
 		return nil, err
@@ -312,12 +318,14 @@ type JobStatus struct {
 	TraceTruncated bool `json:"trace_truncated,omitempty"`
 }
 
-// job is the daemon's in-memory record of one accepted submission.
+// job is the daemon's in-memory record of one accepted submission. Once it
+// is done it keeps only what its endpoints serve: its status and its event
+// and trace logs. complete drops the decoded instance and the spec's body.
 type job struct {
 	id        string
 	seq       int64
 	spec      JobSpec
-	problem   *csp.Problem
+	problem   *csp.Problem // nil once done
 	submitted time.Time
 	deadline  time.Time
 	events    *eventLog
@@ -388,13 +396,19 @@ func (j *job) markRunning(now time.Time) bool {
 	return true
 }
 
-// complete finalizes the job with st (the caller fills timing fields). A
-// second completion is a programming error; the closed done channel makes
-// it loud.
+// complete finalizes the job with st (the caller fills timing fields) and
+// releases its instance and body, which a done job never reads again. Every
+// way a job ends comes through here: a verdict, a cancel in the queue, a
+// queue expiry and journal replay. The caller is the only goroutine that
+// can still read them: the job's worker, or the canceler or replay of a
+// job no worker holds. A second completion is a programming error; the
+// closed done channel makes it loud.
 func (j *job) complete(st JobStatus) {
 	j.mu.Lock()
 	j.state = StateDone
 	j.status = st
+	j.problem = nil
+	j.spec.Problem, j.spec.Text = nil, ""
 	j.mu.Unlock()
 	j.events.closeLog()
 	if j.trace != nil {

@@ -19,8 +19,10 @@ package service
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"github.com/discsp/discsp/internal/experiments"
+	"github.com/discsp/discsp/internal/telemetry"
 )
 
 // jobLogFormat is the JournalMeta.Format pin; bump the suffix on any
@@ -73,10 +75,18 @@ func toDoneRecord(st JobStatus) doneRecord {
 	}
 }
 
+// recordUSBuckets sizes the job-log record histogram (microseconds): a
+// record is an encode, a write and an fsync, a fraction of a millisecond
+// on a local disk and tens of milliseconds on a slow one.
+var recordUSBuckets = []int64{25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000, 1_000_000}
+
 // jobLog wraps the experiments journal with the service's key scheme. A nil
 // jobLog is the no-durability configuration; every method no-ops.
 type jobLog struct {
 	j *experiments.Journal
+	// recordUS observes how long each record took, encode, write and
+	// fsync together; nil observes nothing.
+	recordUS *telemetry.Histogram
 }
 
 // openJobLog opens (or creates) the job log at path. An existing file is
@@ -90,27 +100,30 @@ func openJobLog(path string) (*jobLog, error) {
 }
 
 func (l *jobLog) recordAccept(rec acceptRecord) error {
-	if l == nil {
-		return nil
-	}
-	return l.j.Record("accept/"+rec.ID, rec)
+	return l.record("accept/"+rec.ID, rec)
 }
 
 func (l *jobLog) recordDone(id string, rec doneRecord) error {
-	if l == nil {
-		return nil
-	}
-	return l.j.Record("done/"+id, rec)
+	return l.record("done/"+id, rec)
 }
 
 func (l *jobLog) recordCancel(id string) error {
+	return l.record("cancel/"+id, struct{}{})
+}
+
+// record journals v under key and times it.
+func (l *jobLog) record(key string, v any) error {
 	if l == nil {
 		return nil
 	}
-	return l.j.Record("cancel/"+id, struct{}{})
+	start := time.Now()
+	err := l.j.Record(key, v)
+	l.recordUS.Observe(time.Since(start).Microseconds())
+	return err
 }
 
-// replayEntry is one accepted job recovered from the log.
+// replayEntry is one accepted job recovered from the log. A finished job's
+// spec carries no problem body: nothing reads it again.
 type replayEntry struct {
 	accept   acceptRecord
 	done     *doneRecord // nil: the job never finished — re-run it
@@ -138,6 +151,9 @@ func (l *jobLog) replay() ([]replayEntry, error) {
 			e.done = &d
 		}
 		e.canceled = l.j.Has("cancel/" + id)
+		if e.done != nil || e.canceled {
+			e.accept.Spec.Problem, e.accept.Spec.Text = nil, ""
+		}
 		out = append(out, e)
 	}
 	return out, nil

@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/discsp/discsp/internal/core"
@@ -88,5 +90,41 @@ func TestJournalLineOnePass(t *testing.T) {
 	var back acceptRecord
 	if !j.Lookup("accept/000001", &back) || !bytes.Equal(back.Spec.Problem, body.Bytes()) {
 		t.Errorf("reopened journal does not return the accept record's body")
+	}
+}
+
+// TestJournalRecordHistogram: every job-log record — accept, done and
+// cancel — is timed into dcspd_journal_record_us, which /metrics exports.
+func TestJournalRecordHistogram(t *testing.T) {
+	d := newTestDaemon(t, Config{Workers: 1, JournalPath: filepath.Join(t.TempDir(), "jobs.journal")})
+	started, release := blockWorkers(t, d)
+	const n = 4
+	var ids []string
+	for i := 0; i < n; i++ {
+		st, err := d.Submit(coloringSpec(t, int64(i+1)))
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		ids = append(ids, st.ID)
+	}
+	<-started
+	if _, err := d.Cancel(ids[n-1]); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	release()
+	for _, id := range ids {
+		waitDone(t, d, id)
+	}
+	// n accepts, one cancel and n-1 verdicts.
+	const records = 2 * n
+	if got := d.Registry().Histogram("dcspd_journal_record_us", recordUSBuckets).Count(); got != records {
+		t.Errorf("histogram counted %d records, want %d", got, records)
+	}
+	var exp bytes.Buffer
+	if err := d.Registry().Snapshot().WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("dcspd_journal_record_us_count %d\n", records); !strings.Contains(exp.String(), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }

@@ -221,6 +221,7 @@ func New(cfg Config) (*Daemon, error) {
 		if err != nil {
 			return nil, err
 		}
+		l.recordUS = d.reg.Histogram("dcspd_journal_record_us", recordUSBuckets)
 		d.log = l
 		if err := d.replay(); err != nil {
 			l.close()
@@ -238,7 +239,8 @@ func New(cfg Config) (*Daemon, error) {
 // canceled jobs stay canceled, and accepted-but-unfinished jobs re-enter
 // the queue (with fresh deadlines — the wall clock they were accepted under
 // died with the old process; the verdict they reach does not depend on it
-// for sync jobs, which re-run deterministically).
+// for sync jobs, which re-run deterministically). Only the jobs that re-run
+// have their problem parsed.
 func (d *Daemon) replay() error {
 	entries, err := d.log.replay()
 	if err != nil {
@@ -247,15 +249,7 @@ func (d *Daemon) replay() error {
 	sort.Slice(entries, func(i, k int) bool { return entries[i].accept.Seq < entries[k].accept.Seq })
 	now := time.Now()
 	for _, e := range entries {
-		spec := e.accept.Spec
-		p, perr := spec.problem()
-		if perr != nil {
-			// The spec was validated at accept; a parse failure here means
-			// the daemon's caps changed between runs. Fail it permanently
-			// rather than refusing to start.
-			p = nil
-		}
-		j := newJob(e.accept.ID, e.accept.Seq, spec, p, now)
+		j := newJob(e.accept.ID, e.accept.Seq, e.accept.Spec, nil, now)
 		j.replayed = true
 		if e.accept.Seq > d.seq {
 			d.seq = e.accept.Seq
@@ -271,9 +265,16 @@ func (d *Daemon) replay() error {
 			j.fromCache = true
 			j.complete(JobStatus{Verdict: VerdictCanceled})
 			d.m.cached.Inc()
-		case perr != nil:
-			d.finish(j, JobStatus{Verdict: VerdictFailed, Error: perr.Error()})
 		default:
+			p, err := j.spec.instance(&d.cfg)
+			if err != nil {
+				// The spec was validated at accept; an error here means the
+				// daemon's caps changed between runs. Fail it permanently
+				// rather than refusing to start.
+				d.finish(j, JobStatus{Verdict: VerdictFailed, Error: err.Error()})
+				continue
+			}
+			j.problem = p
 			// Re-queue past the admission bounds: this job was admitted by
 			// the previous process, and an acknowledged job is never shed.
 			d.m.replayed.Inc()

@@ -52,6 +52,7 @@ var familyHelp = map[string]string{
 	"dcspd_queue_oldest_age_us":         "Age of the oldest queued job in microseconds.",
 	"dcspd_queue_wait_ms":               "Queue wait per job in milliseconds, by tenant.",
 	"dcspd_job_run_ms":                  "Run time per job in milliseconds, by tenant.",
+	"dcspd_journal_record_us":           "Job-log record time (encode, write and fsync) in microseconds.",
 }
 
 // WritePrometheus writes the snapshot in the Prometheus text exposition
